@@ -1,22 +1,18 @@
-//! Serial vs per-batch-sharded vs persistent-session execution benchmark.
+//! Serial vs persistent-session execution benchmark.
 //!
-//! Three executors run the same multi-round request stream:
+//! Two executors run the same multi-round request stream:
 //!
 //! * **serial** — `execute_batch_serial`, one request at a time on the
 //!   unified memory (the correctness reference);
-//! * **barrier** — `execute_batch_with_workers`, which re-splits the
-//!   memory into channel shards, spawns workers, and re-absorbs the
-//!   shards *every batch*;
 //! * **pooled** — one persistent `ExecSession`: workers spawned once,
 //!   shards owned for the whole stream, batches submitted back-to-back
 //!   with no inter-batch barrier, one dirty-delta sync at close.
 //!
-//! The headline `wall_speedup` is **barrier / pooled** — what the
-//! persistent pool buys over the per-batch split/absorb engine on the
-//! same worker count. `speedup_vs_serial` (pooled vs serial) is also
-//! reported; on a single-core host it cannot exceed 1 for compute-bound
-//! batches, since thread parallelism has no cores to run on (see
-//! `host_cores` in the output).
+//! The headline `wall_speedup` is **serial / pooled**. It is bounded by
+//! the host's core count: on a single-core host it cannot exceed 1 for
+//! compute-bound batches, since thread parallelism has no cores to run on
+//! (see `host_cores` in the output). The modeled makespan column is the
+//! scheduler's channel- and bank-parallel account of the same batch.
 //!
 //! The sweep covers three batch sizes x worker counts 1/2/4 and writes
 //! machine-readable rows to `BENCH_parallel.json`.
@@ -26,7 +22,7 @@
 //! $ cargo run --release -p pinatubo-bench --bin bench_parallel -- --smoke
 //! ```
 //!
-//! `--smoke` runs a small configuration through all three paths and
+//! `--smoke` runs a small configuration through both paths and
 //! asserts only the correctness properties (identical result bits,
 //! consistent merged ledgers, modeled makespan no worse than serial,
 //! and `open_session` + syncs on a pre-populated memory copying
@@ -100,7 +96,6 @@ struct Measurement {
     workers: usize,
     channels: u32,
     serial_wall_ms: f64,
-    barrier_wall_ms: f64,
     pooled_wall_ms: f64,
     report: ScheduleReport,
     bits_identical: bool,
@@ -111,13 +106,8 @@ struct Measurement {
 }
 
 impl Measurement {
-    /// Persistent pool vs the per-batch split/absorb engine.
-    fn wall_speedup(&self) -> f64 {
-        self.barrier_wall_ms / self.pooled_wall_ms
-    }
-
     /// Persistent pool vs one-request-at-a-time serial execution.
-    fn speedup_vs_serial(&self) -> f64 {
+    fn wall_speedup(&self) -> f64 {
         self.serial_wall_ms / self.pooled_wall_ms
     }
 
@@ -130,9 +120,9 @@ impl Measurement {
             "    {{\n      \"scenario\": \"{}\",\n      \"requests\": {},\n      \
              \"operands_per_request\": {},\n      \"bits_per_vector\": {},\n      \
              \"rounds\": {},\n      \"channels\": {},\n      \"workers\": {},\n      \
-             \"serial_wall_ms\": {:.3},\n      \"barrier_wall_ms\": {:.3},\n      \
+             \"serial_wall_ms\": {:.3},\n      \
              \"pooled_wall_ms\": {:.3},\n      \"wall_speedup\": {:.3},\n      \
-             \"speedup_vs_serial\": {:.3},\n      \"modeled_serial_us\": {:.3},\n      \
+             \"modeled_serial_us\": {:.3},\n      \
              \"modeled_makespan_us\": {:.3},\n      \"modeled_speedup\": {:.3},\n      \
              \"pooled_pages_copied\": {},\n      \
              \"bits_identical\": {},\n      \"ledger_consistent\": {}\n    }}",
@@ -144,10 +134,8 @@ impl Measurement {
             self.channels,
             self.workers,
             self.serial_wall_ms,
-            self.barrier_wall_ms,
             self.pooled_wall_ms,
             self.wall_speedup(),
-            self.speedup_vs_serial(),
             self.report.serial_time_ns / 1000.0,
             self.report.makespan_ns / 1000.0,
             self.modeled_speedup(),
@@ -158,35 +146,19 @@ impl Measurement {
     }
 }
 
-fn run_serial(scenario: Scenario) -> (f64, Vec<Vec<bool>>) {
+fn run_serial(scenario: Scenario) -> (f64, ScheduleReport, Vec<Vec<bool>>) {
     let mut serial = sys();
     let (batch, outs) = build_batch(&mut serial, scenario.count, scenario.k, scenario.bits);
     let t0 = Instant::now();
-    for _ in 0..scenario.rounds {
-        serial.execute_batch_serial(&batch).expect("serial batch");
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, outs.iter().map(|v| serial.load(v)).collect())
-}
-
-fn run_barrier(scenario: Scenario, workers: usize) -> (f64, ScheduleReport, Vec<Vec<bool>>, bool) {
-    let mut barrier = sys();
-    let (batch, outs) = build_batch(&mut barrier, scenario.count, scenario.k, scenario.bits);
-    let t0 = Instant::now();
     let mut report = None;
     for _ in 0..scenario.rounds {
-        report = Some(
-            barrier
-                .execute_batch_with_workers(&batch, workers)
-                .expect("barriered batch"),
-        );
+        report = Some(serial.execute_batch_serial(&batch).expect("serial batch"));
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     (
         wall_ms,
         report.expect("at least one round"),
-        outs.iter().map(|v| barrier.load(v)).collect(),
-        barrier.stats().reliability.is_consistent(),
+        outs.iter().map(|v| serial.load(v)).collect(),
     )
 }
 
@@ -209,36 +181,31 @@ fn run_pooled(scenario: Scenario, workers: usize) -> (f64, Vec<Vec<bool>>, bool,
     )
 }
 
-/// One full three-executor measurement. `reversed` flips the executor
-/// order (pooled → barrier → serial): alternating it across iterations
+/// One full two-executor measurement. `reversed` flips the executor
+/// order (pooled → serial): alternating it across iterations
 /// counterbalances drift that systematically favours whichever executor
 /// runs first (allocator state, frequency scaling, co-tenant load ramps).
 fn measure(scenario: Scenario, workers: usize, reversed: bool) -> Measurement {
     let serial;
-    let barrier;
     let pooled;
     if reversed {
         pooled = run_pooled(scenario, workers);
-        barrier = run_barrier(scenario, workers);
         serial = run_serial(scenario);
     } else {
         serial = run_serial(scenario);
-        barrier = run_barrier(scenario, workers);
         pooled = run_pooled(scenario, workers);
     }
-    let (serial_wall_ms, serial_bits) = serial;
-    let (barrier_wall_ms, report, barrier_bits, barrier_ledger) = barrier;
-    let (pooled_wall_ms, pooled_bits, pooled_ledger, pooled_pages_copied) = pooled;
+    let (serial_wall_ms, report, serial_bits) = serial;
+    let (pooled_wall_ms, pooled_bits, ledger_consistent, pooled_pages_copied) = pooled;
 
     Measurement {
         scenario,
         workers,
         channels: MemConfig::pcm_default().geometry.channels,
         serial_wall_ms,
-        barrier_wall_ms,
         pooled_wall_ms,
-        bits_identical: serial_bits == barrier_bits && serial_bits == pooled_bits,
-        ledger_consistent: pooled_ledger && barrier_ledger,
+        bits_identical: serial_bits == pooled_bits,
+        ledger_consistent,
         pooled_pages_copied,
         report,
     }
@@ -262,7 +229,7 @@ fn check(m: &Measurement) {
         "modeled makespan exceeds the serial command stream"
     );
     assert!(
-        m.serial_wall_ms > 0.0 && m.barrier_wall_ms > 0.0 && m.pooled_wall_ms > 0.0,
+        m.serial_wall_ms > 0.0 && m.pooled_wall_ms > 0.0,
         "wall-clock timers must advance"
     );
     // The copy-on-write regression guard: opening a session on a
@@ -291,7 +258,7 @@ fn check(m: &Measurement) {
 
 fn print_row(m: &Measurement) {
     println!(
-        "{:<7} {:>3} req x{:<2} 2^{:<2} bits r{} w{} | serial {:>8.2} ms | barrier {:>8.2} ms | pooled {:>8.2} ms | {:>5.2}x vs barrier, {:>5.2}x vs serial",
+        "{:<7} {:>3} req x{:<2} 2^{:<2} bits r{} w{} | serial {:>8.2} ms | pooled {:>8.2} ms | {:>5.2}x vs serial | modeled {:>5.2}x",
         m.scenario.name,
         m.scenario.count,
         m.scenario.k,
@@ -299,10 +266,9 @@ fn print_row(m: &Measurement) {
         m.scenario.rounds,
         m.workers,
         m.serial_wall_ms,
-        m.barrier_wall_ms,
         m.pooled_wall_ms,
         m.wall_speedup(),
-        m.speedup_vs_serial(),
+        m.modeled_speedup(),
     );
 }
 
@@ -311,10 +277,10 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     if smoke {
-        // Correctness only, through all three paths including the
-        // persistent pool, on two pool sizes. No JSON: the committed
-        // BENCH_parallel.json holds the full-profile measurement and CI
-        // must never clobber it with shared-runner noise.
+        // Correctness only, through both paths, on two pool sizes. No
+        // JSON: the committed BENCH_parallel.json holds the full-profile
+        // measurement and CI must never clobber it with shared-runner
+        // noise.
         let scenario = Scenario {
             name: "smoke",
             count: 24,
@@ -369,7 +335,7 @@ fn main() {
         false,
     );
 
-    println!("# Persistent pool vs per-batch shards vs serial ({host_cores} host cores)");
+    println!("# Persistent pool vs serial ({host_cores} host cores)");
     let mut rows = Vec::new();
     for scenario in scenarios {
         for workers in [1usize, 2, 4] {
@@ -389,11 +355,9 @@ fn main() {
             }
             let min_of = |f: fn(&Measurement) -> f64| iters.iter().map(f).fold(f64::MAX, f64::min);
             let serial = min_of(|m| m.serial_wall_ms);
-            let barrier = min_of(|m| m.barrier_wall_ms);
             let pooled = min_of(|m| m.pooled_wall_ms);
             let mut m = iters.pop().expect("nine iterations");
             m.serial_wall_ms = serial;
-            m.barrier_wall_ms = barrier;
             m.pooled_wall_ms = pooled;
             print_row(&m);
             rows.push(m);
@@ -404,14 +368,16 @@ fn main() {
         .iter()
         .map(Measurement::wall_speedup)
         .fold(f64::MIN, f64::max);
-    println!("\nbest pooled-vs-barrier wall speedup: {best:.2}x");
+    println!("\nbest pooled-vs-serial wall speedup: {best:.2}x");
 
     let json = format!(
         "{{\n  \"host_cores\": {},\n  \"wall_speedup_definition\": \
-         \"barrier_wall_ms / pooled_wall_ms: the persistent session vs the \
-         per-batch split/absorb executor at the same worker count. \
-         speedup_vs_serial is pooled vs execute_batch_serial and is bounded \
-         by the host's core count.\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"serial_wall_ms / pooled_wall_ms: the persistent session at the \
+         given worker count vs execute_batch_serial on the same stream. \
+         Bounded by host_cores: with one core the worker threads have no \
+         spare core to run on. modeled_speedup is the scheduler's modeled \
+         serial stream over the channel- and bank-parallel makespan.\",\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
         host_cores,
         rows.iter()
             .map(Measurement::to_json)

@@ -154,40 +154,11 @@ impl PinatuboEngine {
         &self.stats
     }
 
-    /// Splits off a per-channel engine shard: the memory state `channel`
-    /// owns moves into the shard (see [`MainMemory::split_channel`]),
-    /// the engine configuration is shared, and the shard's counters start
-    /// at zero. Merge back with [`PinatuboEngine::absorb`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is outside the memory geometry.
-    #[must_use]
-    pub fn split_channel(&mut self, channel: u32) -> PinatuboEngine {
-        PinatuboEngine {
-            mem: self.mem.split_channel(channel),
-            config: self.config.clone(),
-            stats: EngineStats::default(),
-        }
-    }
-
-    /// Merges a shard produced by [`PinatuboEngine::split_channel`] back:
-    /// memory state and statistics ledgers (both the memory's and the
-    /// engine's) are combined deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions of [`MainMemory::absorb`].
-    pub fn absorb(&mut self, shard: PinatuboEngine) {
-        self.mem.absorb(shard.mem);
-        self.stats += shard.stats;
-    }
-
-    /// Clones a per-channel engine shard for a *persistent* worker (see
-    /// [`MainMemory::clone_channel`]): this engine keeps a stale mirror of
-    /// the channel and is brought up to date with
-    /// [`pinatubo_mem::ChannelDelta`]s rather than a whole-state absorb.
-    /// The shard's counters start at zero.
+    /// Clones a per-channel engine shard for a session worker (see
+    /// [`MainMemory::clone_channel`]): the engine configuration is shared,
+    /// this engine keeps a stale mirror of the channel and is brought up
+    /// to date with [`pinatubo_mem::ChannelDelta`]s, and the shard's
+    /// counters start at zero.
     ///
     /// # Panics
     ///

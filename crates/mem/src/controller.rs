@@ -331,20 +331,6 @@ struct DirtyLog {
     acts: HashSet<u32>,
 }
 
-impl DirtyLog {
-    /// Forgets everything logged for `channel` — `split_channel` moves
-    /// the state itself out wholesale, after which stale entries would
-    /// only re-ship state the parent no longer owns.
-    fn discard_channel(&mut self, channel: u32) {
-        self.pages.retain(|id| id.channel() != channel);
-        self.wear.retain(|a| a.channel != channel);
-        self.protect.retain(|a| a.channel != channel);
-        self.open.retain(|id| id.channel != channel);
-        self.fault.remove(&channel);
-        self.acts.remove(&channel);
-    }
-}
-
 /// The state one channel's owner must ship to bring a stale mirror up to
 /// date: exactly the row pages, wear counters, protection metadata
 /// (parity words or SEC-DED check bytes), open-page entries and
@@ -354,8 +340,8 @@ impl DirtyLog {
 /// O(1) each, no row data cloned — and the receiver installs them
 /// wholesale, re-sharing the page between both sides. Carries no
 /// statistics or trace — those are moved separately so a delta can also
-/// flow *away* from the ledger owner (e.g. a unified barrier op pushing
-/// its writes back to shards).
+/// flow *away* from the ledger owner (e.g. a channel-straddling request
+/// on the unified memory pushing its writes back to shards).
 #[derive(Debug)]
 pub struct ChannelDelta {
     channel: u32,
@@ -576,72 +562,33 @@ impl MainMemory {
         self.record(MemCommand::ModeRegisterSet(cfg));
     }
 
-    /// Forces the PIM mode register without charging anything. Used by the
-    /// sharded batch executor to prime a channel shard to the mode the
-    /// serial command stream would have left behind, so the shard's own
+    /// Forces the PIM mode register without charging anything. Used by
+    /// execution sessions to prime a channel shard (or the unified memory,
+    /// for a channel-straddling request) to the mode the serial command
+    /// stream would have left behind, so the executing side's own
     /// [`MainMemory::set_pim_config`] charges exactly the MRS commands the
     /// serial execution would have.
     pub fn preload_pim_config(&mut self, cfg: PimConfig) {
         self.mode = cfg;
     }
 
-    /// Splits off everything `channel` owns into an independent
-    /// [`MainMemory`] shard: the channel's rows, wear, protection
-    /// metadata, open-page state and fault-injection stream move to the
-    /// shard; configuration
-    /// and the cached fan-in analyses are copied (never re-derived — the
-    /// yield sweep is a Monte-Carlo run). The shard starts with zeroed
-    /// statistics and the parent's current PIM mode; merge it back with
-    /// [`MainMemory::absorb`].
-    ///
-    /// The channel's tRRD/tFAW activation history moves with the shard as
-    /// *relative* offsets: each issue time is rebased by the parent's
-    /// clock at the split (entry − parent now, hence ≤ 0) so the shard —
-    /// whose clock starts at zero — sees the same "how long ago" the
-    /// serial stream would. Carrying absolute times instead would
-    /// manufacture stalls out of thin air; dropping the history (as this
-    /// method once did) would let a shard's first activation dodge a
-    /// window the serial stream still honours under tight parameters.
+    /// Shares everything `channel` owns into an independent worker shard,
+    /// *keeping* this memory's copy in place as a stale mirror. The
+    /// shard gets the channel's rows, wear, protection metadata,
+    /// open-page state and fault-injection stream; configuration and the
+    /// cached fan-in analyses are copied (never re-derived — the yield
+    /// sweep is a Monte-Carlo run). Row pages are shared by reference
+    /// (one `Arc` bump per page, zero row copies — see [`crate::page`]);
+    /// either side deep-copies a page only on its first write to it. The
+    /// shard owner brings the mirror back up to date by shipping
+    /// [`ChannelDelta`]s (see [`MainMemory::take_dirty_state`]) plus its
+    /// taken statistics ([`MainMemory::merge_stats`]), which makes both
+    /// the clone and a sync cost O(touched state).
     ///
     /// Channels draw from independent fault streams (see
     /// [`FaultState::for_channel`]), so executing on shards consumes
     /// exactly the draws serial execution would, regardless of worker
     /// interleaving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is outside the geometry.
-    #[must_use]
-    pub fn split_channel(&mut self, channel: u32) -> MainMemory {
-        self.assert_channel_in_geometry(channel);
-        let mut shard = self.shard_skeleton();
-        shard.rows = self.rows.drain_channel(channel);
-        shard.wear = drain_matching(&mut self.wear, |a| a.channel == channel);
-        shard.protect = drain_matching(&mut self.protect, |a| a.channel == channel);
-        shard.open_rows = drain_matching(&mut self.open_rows, |id| id.channel == channel);
-        let now = self.stats.time_ns;
-        for (key, hist) in drain_matching(&mut self.act_history, |&(ch, _)| ch == channel) {
-            shard
-                .act_history
-                .insert(key, hist.iter().map(|&t| t - now).collect());
-        }
-        if let Some(state) = self.fault.remove(&channel) {
-            shard.fault.insert(channel, state);
-        }
-        self.dirty.discard_channel(channel);
-        shard
-    }
-
-    /// Shares everything `channel` owns into an independent worker shard,
-    /// *keeping* this memory's copy in place as a stale mirror — the
-    /// persistent-pool counterpart of [`MainMemory::split_channel`]. Row
-    /// pages are shared by reference (one `Arc` bump per page, zero row
-    /// copies — see [`crate::page`]); either side deep-copies a page only
-    /// on its first write to it. The shard owner brings the mirror back
-    /// up to date by shipping [`ChannelDelta`]s (see
-    /// [`MainMemory::take_dirty_state`]) instead of moving the whole
-    /// channel per batch, which makes both the clone and a sync cost
-    /// O(touched state).
     ///
     /// Undrained dirty state the parent still holds for the channel is
     /// *retained in the parent's log*, not discarded: it describes state
@@ -651,16 +598,19 @@ impl MainMemory {
     /// empty log — at the instant of cloning it is in sync with the
     /// parent, so its deltas need to carry only its own writes.
     ///
-    /// Clock scoping is identical to `split_channel`: the channel's
-    /// tRRD/tFAW activation history moves to the shard as relative
-    /// offsets (entry − parent now) and is dropped on this side — the
-    /// shard is the channel's writer now, and its sync deltas carry the
-    /// advanced history back. The shard starts a fresh clock, zeroed
-    /// statistics and the parent's current PIM mode. The parent's fault
-    /// stream for the channel is *retained* (unlike `split_channel`) so
-    /// barrier operations on the unified memory can keep drawing; the
-    /// sync protocol replaces it with the shard's advanced stream before
-    /// any such draw.
+    /// The channel's tRRD/tFAW activation history moves to the shard as
+    /// *relative* offsets (entry − parent now, hence ≤ 0) and is dropped
+    /// on this side — the shard is the channel's writer now, and its sync
+    /// deltas carry the advanced history back. The shard's clock starts
+    /// at zero, so relative offsets make it see the same "how long ago"
+    /// the serial stream would: absolute times would manufacture stalls,
+    /// and dropping the history would let the shard's first activation
+    /// dodge a window the serial stream still honours under tight
+    /// parameters. The shard starts with zeroed statistics and the
+    /// parent's current PIM mode. The parent's fault stream for the
+    /// channel is *retained* so channel-straddling requests on the
+    /// unified memory can keep drawing; the sync protocol replaces it with
+    /// the shard's advanced stream before any such draw.
     ///
     /// # Panics
     ///
@@ -831,10 +781,10 @@ impl MainMemory {
     }
 
     /// Asserts the `detected == corrected + uncorrectable` reliability
-    /// ledger invariant. Merge paths ([`MainMemory::absorb`] callers, the
-    /// session sync) check once per synchronization point instead of per
-    /// absorbed shard — a merge must never manufacture or lose recovery
-    /// events, but the invariant only needs to hold once all parts are in.
+    /// ledger invariant. The session sync checks once per synchronization
+    /// point instead of per merged shard — a merge must never manufacture
+    /// or lose recovery events, but the invariant only needs to hold once
+    /// all parts are in.
     ///
     /// # Panics
     ///
@@ -847,9 +797,10 @@ impl MainMemory {
         );
     }
 
-    /// Adds a shard's taken statistics into this memory's ledgers — the
-    /// delta-sync counterpart of the implicit merge in
-    /// [`MainMemory::absorb`].
+    /// Adds a shard's taken statistics into this memory's ledgers,
+    /// advancing this memory's clock by the shard's elapsed time. Merge
+    /// before applying the same shard's [`ChannelDelta`]s, so its relative
+    /// activation history lands on the advanced clock.
     pub fn merge_stats(&mut self, delta: MemStats) {
         self.stats += delta;
     }
@@ -871,7 +822,7 @@ impl MainMemory {
     /// position; activation history is clock-scoped and deliberately
     /// excluded). Two memories that digest equal respond identically to
     /// any command on the channel. Used by the session sync's debug
-    /// assertion that a dirty-state delta reproduces a full split/absorb.
+    /// assertion that a dirty-state delta left parent and shard identical.
     #[must_use]
     pub fn channel_digest(&self, channel: u32) -> u64 {
         use std::hash::{Hash, Hasher};
@@ -893,48 +844,6 @@ impl MainMemory {
             .map(FaultState::events_drawn)
             .hash(&mut hasher);
         hasher.finish()
-    }
-
-    /// Merges a shard produced by [`MainMemory::split_channel`] back:
-    /// functional state, wear, protection metadata, fault streams and the
-    /// recorded
-    /// trace move back in, and the shard's statistics are added to this
-    /// memory's ledgers. The shard's tRRD/tFAW activation history comes
-    /// back rebased onto the parent's clock: an entry that was
-    /// `shard_now − t` ago on the shard lands `parent_now_after − (shard_now
-    /// − t)` here, so "how long ago" is preserved exactly across the
-    /// round trip (the mirror of the relative rebase `split_channel`
-    /// applies on the way out).
-    ///
-    /// The PIM mode register is left untouched: the batch executor primes
-    /// it explicitly to keep MRS accounting identical to serial.
-    ///
-    /// Callers merging a whole sync point (the batch executor's absorb
-    /// loop, the session sync) follow up with
-    /// [`MainMemory::assert_ledger_consistent`] once per sync — per-shard
-    /// checking would reject transiently-split ledgers for no gain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard's geometry disagrees.
-    pub fn absorb(&mut self, shard: MainMemory) {
-        assert!(
-            shard.config.geometry == self.config.geometry,
-            "absorbed shard must share the parent geometry"
-        );
-        self.rows.extend(shard.rows);
-        self.wear.extend(shard.wear);
-        self.protect.extend(shard.protect);
-        self.open_rows.extend(shard.open_rows);
-        self.fault.extend(shard.fault);
-        self.trace.extend(shard.trace);
-        let shard_now = shard.stats.time_ns;
-        self.stats += shard.stats;
-        let now = self.stats.time_ns;
-        for (key, hist) in shard.act_history {
-            self.act_history
-                .insert(key, hist.iter().map(|&t| now - (shard_now - t)).collect());
-        }
     }
 
     /// Direct (zero-cost) view of a row's contents — for assertions and
@@ -2714,6 +2623,8 @@ mod tests {
         assert_eq!(m.stats().time.stall_ns, 0.0);
     }
 
+    /// Splitting a channel off into a shard (`clone_channel`) carries its
+    /// activation window as relative offsets.
     #[test]
     fn split_carries_relative_activation_history() {
         let mut cfg = MemConfig::pcm_default();
@@ -2723,7 +2634,7 @@ mod tests {
             .activate_read(RowAddr::new(0, 0, 0, 0, 0), 64)
             .expect("parent act");
         let parent_now = parent.stats().time_ns; // 35.0
-        let mut shard = parent.split_channel(0);
+        let mut shard = parent.clone_channel(0);
         assert!(
             parent.act_history.is_empty(),
             "the history moved with the shard"
@@ -2743,6 +2654,9 @@ mod tests {
         );
     }
 
+    /// Folding a shard back in (stats merged, then its delta applied, as
+    /// the session sync does) re-anchors the shard's window on the
+    /// parent's advanced clock.
     #[test]
     fn absorb_rebases_the_shard_history_onto_the_parent_clock() {
         let mut cfg = MemConfig::pcm_default();
@@ -2751,13 +2665,17 @@ mod tests {
         parent
             .activate_read(RowAddr::new(0, 0, 0, 0, 0), 64)
             .expect("act 1");
-        let mut shard = parent.split_channel(0);
+        let mut shard = parent.clone_channel(0);
         shard
             .activate_read(RowAddr::new(0, 0, 1, 0, 0), 64)
             .expect("act 2"); // issues at shard-time 965
-        parent.absorb(shard);
+        let deltas = shard.take_dirty_state();
+        parent.merge_stats(shard.take_stats());
+        for delta in deltas {
+            parent.apply_delta(delta);
+        }
         // Serial would run the three activations at 0, 1000 and 2000:
-        // the absorbed history must gate the third exactly the same way.
+        // the synced history must gate the third exactly the same way.
         parent
             .activate_read(RowAddr::new(0, 0, 2, 0, 0), 64)
             .expect("act 3");
@@ -3076,41 +2994,61 @@ mod tests {
         RowAddr::new(channel, 0, 0, subarray, row)
     }
 
+    /// Ships a shard's dirty state and statistics back into `parent` the
+    /// way the session sync does: stats first, then the deltas.
+    fn sync_back(parent: &mut MainMemory, shard: &mut MainMemory) {
+        let deltas = shard.take_dirty_state();
+        parent.merge_stats(shard.take_stats());
+        for delta in deltas {
+            parent.apply_delta(delta);
+        }
+    }
+
     #[test]
-    fn split_and_absorb_round_trip_state_and_stats() {
+    fn clone_and_delta_round_trip_state_and_stats() {
         let mut m = mem();
         let a = RowData::from_bits(&[true, false, true, false]);
         let b = RowData::from_bits(&[false, true, true, false]);
+        let c = RowData::from_bits(&[true, true, false, true]);
         m.poke_row(ch_addr(0, 0, 0), &a).expect("poke ch0");
         m.poke_row(ch_addr(1, 0, 0), &b).expect("poke ch1");
 
-        let mut shard = m.split_channel(1);
-        assert!(m.peek_row(ch_addr(1, 0, 0)).is_none(), "ch1 moved out");
+        let mut shard = m.clone_channel(1);
         assert_eq!(shard.peek_row(ch_addr(1, 0, 0)), Some(&b));
         assert_eq!(shard.peek_row(ch_addr(0, 0, 0)), None);
         assert_eq!(shard.max_or_fan_in(), m.max_or_fan_in());
         assert_eq!(shard.reliable_or_fan_in(), m.reliable_or_fan_in());
         assert!(shard.stats().time_ns == 0.0, "shard ledgers start at zero");
 
-        // Work on both halves independently.
+        // Work on both halves independently; the shard also writes.
         let parent_out = m.activate_read(ch_addr(0, 0, 0), 4).expect("read ch0");
         let shard_out = shard.activate_read(ch_addr(1, 0, 0), 4).expect("read ch1");
         assert_eq!(parent_out, a);
         assert_eq!(shard_out, b);
+        shard
+            .write_row_local(ch_addr(1, 0, 1), c.clone())
+            .expect("shard write");
+        assert_eq!(m.peek_row(ch_addr(1, 0, 1)), None, "the mirror is stale");
         let parent_stats = *m.stats();
         let shard_stats = *shard.stats();
 
-        m.absorb(shard);
+        sync_back(&mut m, &mut shard);
         assert_eq!(m.peek_row(ch_addr(1, 0, 0)), Some(&b));
+        assert_eq!(m.peek_row(ch_addr(1, 0, 1)), Some(&c));
+        assert_eq!(m.channel_digest(1), shard.channel_digest(1));
         assert_eq!(*m.stats(), parent_stats + shard_stats);
-        assert_eq!(m.wear_report().total_row_writes, 0, "pokes charge no wear");
+        assert_eq!(
+            m.wear_report().total_row_writes,
+            1,
+            "the shard's write wear ships back; pokes charge none"
+        );
     }
 
     #[test]
     fn sharded_fault_streams_match_serial_execution() {
         // With per-channel streams, the draws a channel consumes do not
         // depend on whether the other channels executed in between — so a
-        // serial run and a split/execute/absorb run are bit-identical.
+        // serial run and a clone/execute/sync run are bit-identical.
         let model = FaultModel::with_seed(0xD15C)
             .with_transients(1e-2, 1e-2, 1e-2)
             .with_write_flips(1e-2);
@@ -3142,14 +3080,14 @@ mod tests {
         assert_eq!(serial_outs, reordered_outs, "streams are order-independent");
         assert_eq!(serial_stats, reordered_stats);
 
-        // Split channel 1 out, execute both halves, merge.
+        // Clone channel 1 into a shard, execute both halves, sync back.
         let mut m = faulty_mem(model, reliability);
         for ch in 0..2 {
             m.poke_row(ch_addr(ch, 0, 0), &pattern).expect("poke");
             m.poke_row(ch_addr(ch, 0, 1), &pattern).expect("poke");
         }
         let before = *m.stats();
-        let mut shard = m.split_channel(1);
+        let mut shard = m.clone_channel(1);
         let out1 = shard
             .multi_activate_sense_protected(
                 &[ch_addr(1, 0, 0), ch_addr(1, 0, 1)],
@@ -3164,7 +3102,8 @@ mod tests {
                 4,
             )
             .expect("parent OR");
-        m.absorb(shard);
+        sync_back(&mut m, &mut shard);
+        assert_eq!(m.channel_digest(1), shard.channel_digest(1));
         assert_eq!(vec![out0, out1], serial_outs);
         assert_eq!(*m.stats() - before, serial_stats - before);
         assert!(m.stats().reliability.is_consistent());
@@ -3184,9 +3123,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside")]
-    fn split_of_an_invalid_channel_panics() {
+    fn clone_of_an_invalid_channel_panics() {
         let mut m = mem();
-        let _ = m.split_channel(99);
+        let _ = m.clone_channel(99);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!
 //! Everything here is *relative time*: a timeline starts at zero and has
 //! no notion of the controller's absolute clock, the same clock-scoping
-//! rule the shard split/absorb protocol follows for its activation
-//! history (see [`crate::MainMemory::split_channel`]).
+//! rule channel shards follow for their activation history (see
+//! [`crate::MainMemory::clone_channel`]).
 
 use crate::stats::TimeBreakdown;
 use pinatubo_nvm::timing::TimingParams;

@@ -99,24 +99,6 @@ impl PageTable {
         copied
     }
 
-    /// Moves every page of `channel` out into a new table (the
-    /// `split_channel` storage transfer; no row data is copied).
-    pub(crate) fn drain_channel(&mut self, channel: u32) -> PageTable {
-        let ids: Vec<PageId> = self
-            .pages
-            .keys()
-            .filter(|id| id.channel() == channel)
-            .copied()
-            .collect();
-        let mut out = PageTable::default();
-        for id in ids {
-            if let Some(page) = self.pages.remove(&id) {
-                out.pages.insert(id, page);
-            }
-        }
-        out
-    }
-
     /// Shares every page of `channel` into a new table — one reference
     /// bump per page, zero row copies. Writes on either side copy the
     /// affected page first (see [`PageTable::insert`]).
@@ -141,12 +123,6 @@ impl PageTable {
     /// local write copies it.
     pub(crate) fn insert_page(&mut self, id: PageId, page: Arc<RowPage>) {
         self.pages.insert(id, page);
-    }
-
-    /// Moves every page of `other` in, replacing on collision (the
-    /// `absorb` merge; the shard's version of a page wins).
-    pub(crate) fn extend(&mut self, other: PageTable) {
-        self.pages.extend(other.pages);
     }
 
     /// Every materialized row of `channel` as `((subarray, row), data)`,
@@ -214,15 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_moves_and_share_keeps() {
+    fn share_keeps_the_source() {
         let mut table = PageTable::default();
         table.insert(addr(0, 0), RowData::from_bits(&[true]));
         table.insert(addr(1, 0), RowData::from_bits(&[false]));
         let shared = table.share_channel(1);
         assert!(table.get(addr(1, 0)).is_some(), "share keeps the source");
-        let drained = table.drain_channel(1);
-        assert!(table.get(addr(1, 0)).is_none(), "drain moves the source");
-        assert_eq!(drained.get(addr(1, 0)), shared.get(addr(1, 0)));
+        assert_eq!(shared.get(addr(1, 0)), table.get(addr(1, 0)));
+        assert!(
+            shared.get(addr(0, 0)).is_none(),
+            "only the channel is shared"
+        );
         assert!(table.get(addr(0, 0)).is_some());
     }
 

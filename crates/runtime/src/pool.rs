@@ -1,10 +1,11 @@
-//! Persistent sharded execution sessions.
+//! Sharded execution sessions — the runtime's one channel-parallel
+//! executor.
 //!
-//! [`PimSystem::execute_batch`] pays a full shard split/absorb plus a
-//! thread spawn per batch: fine for one big batch, ruinous for a stream
-//! of small ones. An [`ExecSession`] amortizes that setup over a whole
-//! stream. Opening a session spawns one long-lived worker pool; each
-//! worker *owns* its channels' engine shards for the session's lifetime.
+//! An [`ExecSession`] streams requests into a worker pool;
+//! [`PimSystem::execute_batch`] is a one-shot session over one batch, and
+//! a long-lived session amortizes the pool's setup over a whole stream.
+//! Opening a session spawns the pool; each worker *owns* its channels'
+//! engine shards (cloned with `clone_channel`) for the session's lifetime.
 //! Submitted requests are dispatched to their home channel's queue
 //! immediately — there is no inter-batch barrier — and the parent system
 //! keeps only a stale mirror of each channel, reconciled on demand from
@@ -106,7 +107,7 @@ struct ChannelSync {
     panicked: Option<(usize, String)>,
     /// Post-delta digest of the shard's channel state, computed only in
     /// debug builds so the parent can assert the dirty-delta sync left
-    /// both sides identical (i.e. equals a full split/absorb).
+    /// both sides identical (i.e. the delta missed no touched state).
     digest: Option<u64>,
 }
 
@@ -124,8 +125,8 @@ struct Shard {
     channel: u32,
     engine: PinatuboEngine,
     results: Vec<JobResult>,
-    /// Set after the first failed request: the channel stops, like a
-    /// batch-executor channel queue (committed work stays).
+    /// Set after the first failed request: the channel stops (committed
+    /// work stays).
     halted: bool,
     poisoned: Option<(usize, String)>,
 }
@@ -283,8 +284,7 @@ const FLUSH_JOBS: usize = 32;
 /// [`FLUSH_JOBS`]. On a single core that overlap buys nothing — the
 /// submitter and workers just trade context switches — so jobs buffer
 /// until a sync point and each worker then runs its whole queue in one
-/// uninterrupted stretch, like the barrier executor but without the
-/// per-batch thread spawns.
+/// uninterrupted stretch.
 fn flush_threshold() -> usize {
     match std::thread::available_parallelism() {
         Ok(n) if n.get() > 1 => FLUSH_JOBS,
@@ -745,11 +745,14 @@ impl ExecSession<'_> {
                     Err(e) => self.note_err(pos, e),
                 }
             }
+            // Stats first: the deltas re-anchor the shard's relative
+            // tRRD/tFAW history on the parent clock, which must already
+            // include the shard's elapsed time.
             let mem = self.system.engine_mut().memory_mut();
+            mem.merge_stats(sync.mem_stats);
             for delta in sync.deltas {
                 mem.apply_delta(delta);
             }
-            mem.merge_stats(sync.mem_stats);
             mem.append_trace(sync.trace);
             self.system
                 .engine_mut()
@@ -758,7 +761,7 @@ impl ExecSession<'_> {
                 debug_assert_eq!(
                     self.system.engine().memory().channel_digest(sync.channel),
                     shard_digest,
-                    "dirty-delta sync must leave channel {} identical to a full split/absorb",
+                    "dirty-delta sync must leave channel {} identical in parent and shard",
                     sync.channel
                 );
             }
@@ -795,7 +798,7 @@ impl ExecSession<'_> {
 
 impl Drop for ExecSession<'_> {
     fn drop(&mut self) {
-        // Best-effort absorb on implicit drop — but never on an
+        // Best-effort sync on implicit drop — but never on an
         // unwinding path, where a secondary panic would abort.
         if !std::thread::panicking() && self.threads.iter().any(|h| h.join.is_some()) {
             self.sync_internal();
@@ -804,7 +807,9 @@ impl Drop for ExecSession<'_> {
     }
 }
 
-/// [`crate::scheduler::home_channel`] over borrowed operands.
+/// The single channel a request is confined to, if any: a request whose
+/// operand and destination rows all live on one channel runs on that
+/// channel's shard; anything else needs the unified memory.
 fn home_of(operands: &[&PimBitVec], dst: &PimBitVec) -> Option<u32> {
     let c = dst.rows()[0].channel;
     all_rows(operands, dst).all(|r| r.channel == c).then_some(c)

@@ -42,23 +42,22 @@
 //! cannot drift apart.
 //!
 //! Execution is *actually* parallel, not just modeled:
-//! [`PimSystem::execute_batch`] partitions the memory into per-channel
-//! shards ([`pinatubo_mem::MainMemory::split_channel`]), runs each
-//! channel's scheduled queue on scoped worker threads, and merges state
-//! and statistics back deterministically (`absorb`). Per-channel
-//! fault-injection streams and explicit mode-register priming keep the
-//! results bit- and stats-identical to serial execution of the same
-//! order (on the shipped presets, whose command streams never stall),
-//! independent of the worker count.
+//! [`PimSystem::execute_batch`] is a one-shot [`crate::ExecSession`],
+//! which runs each channel's scheduled queue on a worker-owned channel
+//! shard and folds the shards' dirty-state deltas and statistics back
+//! deterministically. Per-channel fault-injection streams and explicit
+//! mode-register priming keep the results bit- and stats-identical to
+//! serial execution of the same order (on the shipped presets, whose
+//! command streams never stall), independent of the worker count.
 
 use crate::bitvec::PimBitVec;
-use crate::system::{bitwise_on_engine, OpSummary, PimSystem};
+use crate::system::{OpSummary, PimSystem};
 use crate::RuntimeError;
-use pinatubo_core::{BitwiseOp, BulkOp, OpClass};
+use pinatubo_core::{BitwiseOp, OpClass};
 use pinatubo_mem::{
     ChannelTimeline, PimConfig, ReliabilityStats, RequestStream, RowAddr, TimeBreakdown,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// One queued operation request.
 #[derive(Debug, Clone)]
@@ -252,8 +251,8 @@ fn mode_switches(ops: impl Iterator<Item = BitwiseOp>) -> u64 {
 /// The sense-amp reference configuration a bulk op leaves behind: every
 /// engine path (including host fallbacks) sets the mode register to the
 /// op's configuration before touching data, so the register's value after
-/// any request is a pure function of that request's op. The parallel
-/// executor uses this to prime each shard with exactly the mode the
+/// any request is a pure function of that request's op. Execution
+/// sessions use this to prime each shard with exactly the mode the
 /// serial stream would have had, keeping MRS accounting identical.
 pub(crate) fn mode_for(op: BitwiseOp) -> PimConfig {
     match op {
@@ -262,21 +261,6 @@ pub(crate) fn mode_for(op: BitwiseOp) -> PimConfig {
         BitwiseOp::Xor => PimConfig::Xor,
         BitwiseOp::Not => PimConfig::Inv,
     }
-}
-
-/// The single channel a request is confined to, if any: a request whose
-/// operand and destination rows all live on one channel can run on that
-/// channel's shard; anything else (a vector straddling channels) needs
-/// the unified memory.
-pub(crate) fn home_channel(request: &BatchRequest) -> Option<u32> {
-    let c = request.dst.rows()[0].channel;
-    request
-        .dst
-        .rows()
-        .iter()
-        .chain(request.operands.iter().flat_map(|v| v.rows().iter()))
-        .all(|r| r.channel == c)
-        .then_some(c)
 }
 
 /// Beam width of the bounded-lookahead refinement in
@@ -604,10 +588,12 @@ impl PimSystem {
             .fold(0.0, f64::max)
     }
 
-    /// Executes a batch of requests through the driver scheduler, running
-    /// single-channel requests on per-channel memory shards with scoped
-    /// worker threads (one shard per channel touched; the default worker
-    /// count is the channel count).
+    /// Executes a batch of requests through the driver scheduler as a
+    /// one-shot execution session ([`PimSystem::open_session`] →
+    /// [`crate::ExecSession::submit_batch`] → close): single-channel
+    /// requests run on worker-owned channel shards, channel-straddling
+    /// ones on the unified memory. The default worker count is the
+    /// channel count.
     ///
     /// Results are identical to executing the batch in submission order
     /// (reordering respects data dependences), and — on the shipped
@@ -663,142 +649,19 @@ impl PimSystem {
         requests: &[BatchRequest],
         workers: usize,
     ) -> Result<ScheduleReport, RuntimeError> {
-        let workers = workers.max(1);
-        let order = self.plan_batch(requests);
-        let n = order.len();
-        let row_bits = self.row_bits();
-        let entry_mode = self.engine().memory().pim_config();
-        // The mode register the serial stream would hold when request
-        // `order[p]` starts: the previous scheduled op's configuration.
-        let prime: Vec<PimConfig> = (0..n)
-            .map(|p| {
-                if p == 0 {
-                    entry_mode
-                } else {
-                    mode_for(requests[order[p - 1]].op)
-                }
-            })
-            .collect();
-        let homes: Vec<Option<u32>> = order.iter().map(|&i| home_channel(&requests[i])).collect();
-
-        struct ShardRun<E> {
-            engine: E,
-            /// Positions in `order` this shard executes, ascending.
-            queue: Vec<usize>,
-            out: Vec<(usize, OpSummary, BulkOp)>,
-            err: Option<(usize, RuntimeError)>,
+        let mut session = self.open_session_with_workers(workers);
+        let submitted = session.submit_batch(requests);
+        // Close even after a failed submit: it commits completed work and
+        // reports the earliest failure, which subsumes the submit error.
+        let summaries = session.close()?;
+        let positions = submitted?;
+        // Summaries come back in submission (= planned) order; invert the
+        // request → position map to pair each with its request index.
+        let mut order = vec![0usize; positions.len()];
+        for (i, &pos) in positions.iter().enumerate() {
+            order[pos] = i;
         }
-
-        let mut slots: Vec<Option<(OpSummary, BulkOp)>> = (0..n).map(|_| None).collect();
-        let mut first_err: Option<(usize, RuntimeError)> = None;
-
-        let mut p = 0;
-        while p < n && first_err.is_none() {
-            let Some(_) = homes[p] else {
-                // A channel-straddling request: run it on the unified
-                // memory between sharded phases.
-                let i = order[p];
-                let request = &requests[i];
-                self.engine_mut().memory_mut().preload_pim_config(prime[p]);
-                let operands: Vec<&PimBitVec> = request.operands.iter().collect();
-                match bitwise_on_engine(
-                    self.engine_mut(),
-                    row_bits,
-                    request.op,
-                    &operands,
-                    &request.dst,
-                ) {
-                    Ok(v) => slots[p] = Some(v),
-                    Err(e) => first_err = Some((p, e)),
-                }
-                p += 1;
-                continue;
-            };
-            // A run of single-channel requests: one shard per channel
-            // touched, each consuming its queue in scheduled order.
-            let q = p + homes[p..].iter().take_while(|h| h.is_some()).count();
-            let mut queues: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for (pos, home) in homes.iter().enumerate().take(q).skip(p) {
-                queues
-                    .entry(home.expect("inside the single-channel run"))
-                    .or_default()
-                    .push(pos);
-            }
-            let mut shards: Vec<ShardRun<_>> = queues
-                .into_iter()
-                .map(|(channel, queue)| ShardRun {
-                    engine: self.engine_mut().split_channel(channel),
-                    queue,
-                    out: Vec::new(),
-                    err: None,
-                })
-                .collect();
-            let per_worker = shards.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for chunk in shards.chunks_mut(per_worker) {
-                    scope.spawn(|| {
-                        for shard in chunk {
-                            for &pos in &shard.queue {
-                                let request = &requests[order[pos]];
-                                shard.engine.memory_mut().preload_pim_config(prime[pos]);
-                                let operands: Vec<&PimBitVec> = request.operands.iter().collect();
-                                match bitwise_on_engine(
-                                    &mut shard.engine,
-                                    row_bits,
-                                    request.op,
-                                    &operands,
-                                    &request.dst,
-                                ) {
-                                    Ok((summary, record)) => {
-                                        shard.out.push((pos, summary, record));
-                                    }
-                                    Err(e) => {
-                                        shard.err = Some((pos, e));
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            for shard in shards {
-                self.engine_mut().absorb(shard.engine);
-                for (pos, summary, record) in shard.out {
-                    slots[pos] = Some((summary, record));
-                }
-                if let Some((pos, e)) = shard.err {
-                    match first_err {
-                        Some((fp, _)) if fp <= pos => {}
-                        _ => first_err = Some((pos, e)),
-                    }
-                }
-            }
-            // One ledger check per sync point (not per absorbed shard):
-            // the invariant only needs to hold once every part is in.
-            self.engine().memory().assert_ledger_consistent();
-            p = q;
-        }
-
-        // Leave the unified mode register where the serial stream would:
-        // at the last scheduled op's configuration.
-        if first_err.is_none() {
-            if let Some(&last) = order.last() {
-                self.engine_mut()
-                    .memory_mut()
-                    .preload_pim_config(mode_for(requests[last].op));
-            }
-        }
-        let mut per_op = Vec::with_capacity(n);
-        for (pos, slot) in slots.into_iter().enumerate() {
-            if let Some((summary, record)) = slot {
-                self.push_trace(record);
-                per_op.push((order[pos], summary));
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
+        let per_op = order.into_iter().zip(summaries).collect();
         Ok(self.build_report(requests, per_op))
     }
 
@@ -1133,6 +996,41 @@ mod tests {
         // Eight gated launches: at least 7·tRRD of spacing on the rank.
         assert!(report.makespan_ns >= 7.0 * 150.0);
         assert!(report.makespan_ns <= report.serial_time_ns + 1e-9);
+    }
+
+    #[test]
+    fn activation_window_survives_the_batch_sync() {
+        // A follow-up activation on the batch's rank must wait out the
+        // batch's last ACT exactly as it would after serial execution:
+        // the shard's relative tRRD history has to land on the parent
+        // clock *after* the shard's elapsed time is merged in.
+        let mut mem = pinatubo_mem::MemConfig::pcm_default();
+        mem.timing.t_rrd_ns = 1000.0;
+        let stall_after = |sharded: bool| -> f64 {
+            let mut s = PimSystem::new(
+                mem.clone(),
+                pinatubo_core::PinatuboConfig::default(),
+                MappingPolicy::SubarrayFirst,
+            );
+            let mut requests = one_request_per_bank(2, 4096);
+            let follow = requests.pop().expect("bank 1 request");
+            if sharded {
+                s.execute_batch(&requests).expect("sharded batch");
+            } else {
+                s.execute_batch_serial(&requests).expect("serial batch");
+            }
+            let operands: Vec<&PimBitVec> = follow.operands.iter().collect();
+            s.bitwise(follow.op, &operands, &follow.dst)
+                .expect("follow-up op");
+            s.stats().time.stall_ns
+        };
+        let serial = stall_after(false);
+        assert!(serial > 0.0, "the follow-up must be tRRD-gated");
+        assert!(
+            (stall_after(true) - serial).abs() < 1e-9,
+            "sharded {} vs serial {serial}",
+            stall_after(true)
+        );
     }
 
     #[test]

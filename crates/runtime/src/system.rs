@@ -260,7 +260,8 @@ impl PimSystem {
         Ok(summary)
     }
 
-    /// Mutable engine access for the batch scheduler (shard split/absorb).
+    /// Mutable engine access for execution sessions (channel clones,
+    /// delta sync, straddling requests on the unified memory).
     pub(crate) fn engine_mut(&mut self) -> &mut PinatuboEngine {
         &mut self.engine
     }

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     serial.execute_batch_serial(&batch)?;
     let serial_wall = t0.elapsed();
 
-    // The real thing: per-channel shards on scoped worker threads.
+    // The real thing: per-channel shards on a one-shot session's workers.
     let mut sys = PimSystem::pcm_default(MappingPolicy::ChannelRotate);
     let batch = build_batch(&mut sys, bits)?;
     let t0 = Instant::now();

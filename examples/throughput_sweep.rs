@@ -1,9 +1,9 @@
 //! A compact version of the Fig. 9 experiment: equivalent OR bandwidth
 //! versus vector length and fan-in, straight from the public executor API —
-//! followed by a sustained multi-batch throughput comparison of the
-//! persistent-session engine against the per-batch barriered executor,
-//! with the same stream also driven through the multi-tenant serving
-//! layer (admission control + deficit round-robin on top of a session).
+//! followed by sustained multi-batch throughput through a persistent
+//! session, with the same stream also driven through the multi-tenant
+//! serving layer (admission control + deficit round-robin on top of a
+//! session).
 //!
 //! Run with `cargo run --release --example throughput_sweep`.
 
@@ -41,19 +41,10 @@ fn streaming_system() -> PimSystem {
     )
 }
 
-/// Sustained multi-batch throughput: the same `rounds x count` request
-/// stream through the per-batch barriered executor (split/absorb + thread
-/// spawn every batch) and through one persistent session (workers spawned
-/// once, one dirty-delta sync at close). Reports batches per second.
-fn sustained_throughput(count: usize, bits: u64, rounds: usize) -> (f64, f64) {
-    let mut barriered = streaming_system();
-    let batch = build_batch(&mut barriered, count, bits);
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        barriered.execute_batch(&batch).expect("barriered batch");
-    }
-    let barriered_bps = rounds as f64 / t0.elapsed().as_secs_f64();
-
+/// Sustained multi-batch throughput: a `rounds x count` request stream
+/// through one persistent session (workers spawned once, one dirty-delta
+/// sync at close). Reports batches per second.
+fn sustained_session(count: usize, bits: u64, rounds: usize) -> f64 {
     let mut pooled = streaming_system();
     let batch = build_batch(&mut pooled, count, bits);
     let t0 = Instant::now();
@@ -62,9 +53,7 @@ fn sustained_throughput(count: usize, bits: u64, rounds: usize) -> (f64, f64) {
         session.submit_batch(&batch).expect("pooled batch");
     }
     session.close().expect("session close");
-    let pooled_bps = rounds as f64 / t0.elapsed().as_secs_f64();
-
-    (barriered_bps, pooled_bps)
+    rounds as f64 / t0.elapsed().as_secs_f64()
 }
 
 /// The same sustained stream through the serving layer: one registered
@@ -149,21 +138,20 @@ fn main() {
     }
 
     println!();
-    println!("Sustained batch streams: persistent session vs per-batch barriers vs serving layer");
+    println!("Sustained batch streams: persistent session vs serving layer");
     println!(
-        "{:<22}{:>20}{:>20}{:>18}{:>10}",
-        "stream", "barriered (batch/s)", "session (batch/s)", "serve (batch/s)", "ratio"
+        "{:<22}{:>20}{:>18}{:>10}",
+        "stream", "session (batch/s)", "serve (batch/s)", "ratio"
     );
     for (count, bits_log2, rounds) in [(16usize, 12u32, 16usize), (24, 14, 8), (48, 16, 4)] {
-        let (barriered_bps, pooled_bps) = sustained_throughput(count, 1 << bits_log2, rounds);
+        let session_bps = sustained_session(count, 1 << bits_log2, rounds);
         let serve_bps = sustained_serve(count, 1 << bits_log2, rounds);
         println!(
-            "{:<22}{:>20.0}{:>20.0}{:>18.0}{:>9.2}x",
+            "{:<22}{:>20.0}{:>18.0}{:>9.2}x",
             format!("{count} req x 2^{bits_log2} bits"),
-            barriered_bps,
-            pooled_bps,
+            session_bps,
             serve_bps,
-            pooled_bps / barriered_bps
+            serve_bps / session_bps
         );
     }
 }
