@@ -118,7 +118,7 @@ fn smoke() {
     mem.fault_model = FaultModel::with_seed(SEED)
         .with_write_flips(5e-4)
         .with_transients(0.0, 0.5, 0.0);
-    let mut reliability = ReliabilityConfig::protected();
+    let mut reliability = ReliabilityConfig::protected_secded();
     reliability.reliable_fan_in = ReliableFanIn::Fixed(4);
     mem.reliability = reliability;
     let mut sys = PimSystem::new(
@@ -171,21 +171,17 @@ fn smoke() {
 }
 
 /// The SEC-DED CI smoke scenario: deterministic stuck-at corruption on
-/// one-word rows, read back under [`ProtectionMode::Parity`] and
-/// [`ProtectionMode::SecDed`] from the *same* fault seed.
+/// one-word rows, read back under [`ProtectionMode::SecDed`].
 ///
 /// A scout memory with protection off first classifies every row by its
 /// visible flip count (stuck cells are a pure function of the seed and
-/// position, so the classification transfers exactly). The measured runs
-/// then pin the contrast the tentpole is about:
+/// position, so the classification transfers exactly). The measured run
+/// then pins what SEC-DED does with each class:
 ///
-/// * single-flip rows: SEC-DED corrects them in place — the read returns
-///   the intended bits with zero retry-ladder invocations — while parity
-///   can only detect and, with deterministic stuck faults, fails them
-///   explicitly after its retries;
-/// * double-flip rows: SEC-DED flags an uncorrectable double and falls
-///   through to the ladder (explicit failure), while parity aliases and
-///   accepts the corruption silently.
+/// * single-flip rows: corrected in place — the read returns the intended
+///   bits with zero retry-ladder invocations;
+/// * double-flip rows: flagged as an uncorrectable double, which falls
+///   through to the ladder and fails explicitly.
 fn smoke_secded() {
     const ROWS: u32 = 512;
     const BITS: u64 = 64;
@@ -196,7 +192,6 @@ fn smoke_secded() {
         config.fault_model = FaultModel::with_seed(SEED).with_stuck_at(P_STUCK, P_STUCK);
         let mut reliability = match mode {
             ProtectionMode::None => ReliabilityConfig::off(),
-            ProtectionMode::Parity => ReliabilityConfig::protected(),
             ProtectionMode::SecDed => ReliabilityConfig::protected_secded(),
         };
         // Corruption must land for the read path to have work to do.
@@ -272,34 +267,6 @@ fn smoke_secded() {
     );
     assert_eq!(sr.silent_wrong_bits, 0, "SEC-DED must close the blind spot");
     assert_eq!(sr.uncorrectable_errors, doubles.len() as u64);
-
-    // Parity run, same seed and rows: the mirror image. Odd-weight words
-    // can only be detected (explicit failure after the ladder), and the
-    // even-weight doubles alias the parity and corrupt silently.
-    let mut parity = memory(ProtectionMode::Parity);
-    for &r in clean.iter().chain(&singles).chain(&doubles) {
-        parity.poke_row(addr(r), &row_image(r)).expect("poke");
-    }
-    for &r in &singles {
-        match parity.activate_read(addr(r), BITS) {
-            Err(MemError::UncorrectableRead { .. }) => {}
-            other => panic!("single-flip row {r} must fail under parity, got {other:?}"),
-        }
-    }
-    for &r in &doubles {
-        let got = parity.activate_read(addr(r), BITS).expect("aliased read");
-        assert_ne!(got, row_image(r), "row {r} aliases parity while wrong");
-    }
-    let pr = parity.stats().reliability;
-    println!("parity smoke reliability stats: {pr:#?}");
-    assert!(pr.is_consistent(), "ledger must close: {pr:?}");
-    assert_eq!(
-        pr.silent_wrong_bits,
-        2 * doubles.len() as u64,
-        "every aliased double is two silent wrong bits: {pr:?}"
-    );
-    assert_eq!(pr.ecc_corrected_bits, 0);
-    assert_eq!(pr.uncorrectable_errors, singles.len() as u64);
 
     // Pinned fixed-seed class sizes: any change to the stuck-at draw
     // keying shows up here before it reaches the tables.

@@ -1,16 +1,13 @@
 //! Shared ladder-vs-ECC protection-mode comparison workload.
 //!
-//! One fixed-seed scenario driven three times — [`ProtectionMode::None`],
-//! [`ProtectionMode::Parity`], [`ProtectionMode::SecDed`] — so the fault
-//! binaries can report what each read-path rung costs and what it lets
-//! through. The workload stores charged rows with write verification off
-//! (stuck-at corruption must *land* for the read path to have anything to
-//! do) and then reads every row back:
+//! One fixed-seed scenario driven twice — [`ProtectionMode::None`] and
+//! [`ProtectionMode::SecDed`] — so the fault binaries can report what the
+//! read-path rung costs and what it lets through. The workload stores
+//! charged rows with write verification off (stuck-at corruption must
+//! *land* for the read path to have anything to do) and then reads every
+//! row back:
 //!
 //! * `None` accepts everything — every corrupted row is a silent escape.
-//! * `Parity` detects odd-weight words (the retry ladder then fails them
-//!   explicitly, stuck faults being deterministic) but aliases on words
-//!   with an even number of flips, which escape silently.
 //! * `SecDed` corrects single-bit words in place — the read returns the
 //!   *intended* data with no ladder involvement — and explicitly fails
 //!   double-bit words after the ladder exhausts its retries.
@@ -61,7 +58,6 @@ impl ProtectionRun {
     pub fn label(&self) -> &'static str {
         match self.mode {
             ProtectionMode::None => "none",
-            ProtectionMode::Parity => "parity",
             ProtectionMode::SecDed => "secded",
         }
     }
@@ -70,7 +66,7 @@ impl ProtectionRun {
 /// Drive the comparison workload under `mode`: `rows` charged stores of
 /// `row_bits` pseudo-random bits against a stuck-at fault model, then one
 /// `activate_read` per row. Same `seed` across modes means the *identical*
-/// corruption pattern lands in all three memories — the runs differ only
+/// corruption pattern lands in both memories — the runs differ only
 /// in what the read path does about it.
 ///
 /// # Panics
@@ -90,7 +86,6 @@ pub fn protection_run(
     config.fault_model = FaultModel::with_seed(seed).with_stuck_at(p_stuck, p_stuck);
     let mut reliability = match mode {
         ProtectionMode::None => ReliabilityConfig::off(),
-        ProtectionMode::Parity => ReliabilityConfig::protected(),
         ProtectionMode::SecDed => ReliabilityConfig::protected_secded(),
     };
     reliability.verify_writes = false;
@@ -141,24 +136,23 @@ pub fn protection_run(
     run
 }
 
-/// Run the workload under all three modes and return them in
-/// `[None, Parity, SecDed]` order.
+/// Run the workload under both modes and return them in `[None, SecDed]`
+/// order.
 #[must_use]
 pub fn protection_comparison(
     rows: u32,
     row_bits: u64,
     seed: u64,
     p_stuck: f64,
-) -> [ProtectionRun; 3] {
+) -> [ProtectionRun; 2] {
     [
         protection_run(ProtectionMode::None, rows, row_bits, seed, p_stuck),
-        protection_run(ProtectionMode::Parity, rows, row_bits, seed, p_stuck),
         protection_run(ProtectionMode::SecDed, rows, row_bits, seed, p_stuck),
     ]
 }
 
 /// Print the ladder-vs-ECC comparison as an aligned table.
-pub fn print_comparison(runs: &[ProtectionRun; 3]) {
+pub fn print_comparison(runs: &[ProtectionRun; 2]) {
     println!(
         "# Protection modes — {} rows x {} bits, identical stuck-at corruption",
         runs[0].rows, runs[0].row_bits
@@ -189,12 +183,10 @@ pub fn print_comparison(runs: &[ProtectionRun; 3]) {
             run.wrong_accepted_rows,
         );
     }
-    let [none, parity, secded] = runs;
+    let [none, secded] = runs;
     println!(
-        "secded overhead: time {:+.1}% vs none, {:+.1}% vs parity; energy {:+.1}% vs none, {:+.1}% vs parity",
+        "secded overhead vs none: time {:+.1}%, energy {:+.1}%",
         (secded.time_ns / none.time_ns - 1.0) * 100.0,
-        (secded.time_ns / parity.time_ns - 1.0) * 100.0,
         (secded.energy_pj / none.energy_pj - 1.0) * 100.0,
-        (secded.energy_pj / parity.energy_pj - 1.0) * 100.0,
     );
 }

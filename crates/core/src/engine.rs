@@ -375,9 +375,10 @@ impl PinatuboEngine {
 
     /// The last rung of the recovery ladder: when the protected multi-row
     /// sense stays unstable even after re-calibration retries, recompute
-    /// the primitive the processor-centric way — parity-checked single-row
-    /// reads into the row buffer, a digital combine, and a conventional
-    /// write-back. Slower, but immune to multi-row sense-margin faults.
+    /// the primitive the processor-centric way — protection-checked
+    /// single-row reads into the row buffer, a digital combine, and a
+    /// conventional write-back. Slower, but immune to multi-row
+    /// sense-margin faults.
     fn rmw_fallback(
         &mut self,
         cfg: PimConfig,

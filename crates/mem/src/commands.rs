@@ -1,12 +1,11 @@
-//! The DDR-style command vocabulary and the PIM mode register.
+//! The PIM mode register.
 //!
 //! The paper's hardware-control path (§5, Fig. 4) reuses the DDR interface:
 //! extended instructions are translated into ordinary-looking commands plus
 //! mode-register writes (MR4) that configure the SA reference. The
-//! controller records the command stream so tests and traces can assert on
-//! it.
+//! controller charges each command as it executes it; the modeled
+//! command timeline comes from [`crate::interleave::ChannelTimeline`].
 
-use crate::address::RowAddr;
 use pinatubo_nvm::sense_amp::SenseMode;
 use std::fmt;
 
@@ -56,74 +55,6 @@ impl fmt::Display for PimConfig {
     }
 }
 
-/// One command as seen on the (extended) DDR interface.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum MemCommand {
-    /// Configure the PIM mode register.
-    ModeRegisterSet(PimConfig),
-    /// Open one row.
-    Activate(RowAddr),
-    /// Open several rows of one subarray through the LWL latches
-    /// (RESET + accumulate protocol of Fig. 7).
-    MultiActivate(Vec<RowAddr>),
-    /// One pass of the SAs over the currently open rows.
-    SensePass {
-        /// The reference configuration used.
-        mode: SenseMode,
-        /// Bits produced by this pass.
-        bits: u64,
-    },
-    /// Write `bits` bits into a row; `local` means the WD was fed from the
-    /// SA (in-place update), not the bus.
-    WriteRow {
-        /// Destination row.
-        addr: RowAddr,
-        /// Bits written.
-        bits: u64,
-        /// In-place (SA → WD) write.
-        local: bool,
-    },
-    /// Transfer `bits` bits between a subarray and the global row buffer.
-    GdlTransfer {
-        /// Bits moved.
-        bits: u64,
-    },
-    /// A digital bitwise pass in a global/IO buffer over `bits` bits.
-    BufferLogic {
-        /// Bits combined.
-        bits: u64,
-    },
-    /// Burst `bits` bits over the off-chip DDR bus.
-    BusBurst {
-        /// Bits moved.
-        bits: u64,
-    },
-    /// Precharge the open subarray.
-    Precharge(RowAddr),
-}
-
-impl fmt::Display for MemCommand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MemCommand::ModeRegisterSet(cfg) => write!(f, "MRS {cfg}"),
-            MemCommand::Activate(a) => write!(f, "ACT {a}"),
-            MemCommand::MultiActivate(rows) => {
-                write!(f, "MACT x{} @{}", rows.len(), rows[0].subarray_id())
-            }
-            MemCommand::SensePass { mode, bits } => write!(f, "SENSE {mode} ({bits}b)"),
-            MemCommand::WriteRow { addr, bits, local } => {
-                let path = if *local { "local" } else { "bus" };
-                write!(f, "WR {addr} ({bits}b, {path})")
-            }
-            MemCommand::GdlTransfer { bits } => write!(f, "GDL ({bits}b)"),
-            MemCommand::BufferLogic { bits } => write!(f, "LOGIC ({bits}b)"),
-            MemCommand::BusBurst { bits } => write!(f, "BUS ({bits}b)"),
-            MemCommand::Precharge(a) => write!(f, "PRE {}", a.subarray_id()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,31 +75,5 @@ mod tests {
     #[test]
     fn default_config_is_off() {
         assert_eq!(PimConfig::default(), PimConfig::Off);
-    }
-
-    #[test]
-    fn command_display_is_compact() {
-        let addr = RowAddr::new(0, 0, 1, 2, 3);
-        assert_eq!(
-            MemCommand::Activate(addr).to_string(),
-            "ACT ch0/rk0/bk1/sa2/row3"
-        );
-        assert_eq!(
-            MemCommand::MultiActivate(vec![addr, addr]).to_string(),
-            "MACT x2 @ch0/rk0/bk1/sa2"
-        );
-        assert_eq!(
-            MemCommand::WriteRow {
-                addr,
-                bits: 64,
-                local: true
-            }
-            .to_string(),
-            "WR ch0/rk0/bk1/sa2/row3 (64b, local)"
-        );
-        assert_eq!(
-            MemCommand::ModeRegisterSet(PimConfig::Or).to_string(),
-            "MRS OR"
-        );
     }
 }

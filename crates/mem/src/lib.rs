@@ -48,7 +48,7 @@ pub mod stats;
 
 pub use address::RowAddr;
 pub use array::RowData;
-pub use commands::{MemCommand, PimConfig};
+pub use commands::PimConfig;
 pub use controller::{
     ChannelDelta, MainMemory, MemConfig, ProtectionMode, ReliabilityConfig, ReliableFanIn,
 };
@@ -95,8 +95,8 @@ pub enum MemError {
         /// Bits still wrong after the final verify.
         bad_bits: u64,
     },
-    /// A protected read kept disagreeing with the row's stored protection
-    /// metadata (parity or SEC-DED check bytes) after exhausting its
+    /// A protected read kept decoding as an uncorrectable double-bit error
+    /// against the row's stored SEC-DED check bytes after exhausting its
     /// retry budget.
     UncorrectableRead {
         /// The row whose protection check never accepted a sense.

@@ -106,7 +106,7 @@ pub fn encode(word: u64) -> u8 {
 ///
 /// The syndrome is the XOR of the recomputed and stored Hamming bits; a
 /// mismatching overall parity marks an odd number of flips. With the
-/// check store modeled reliable (as the parity array before it), data
+/// check store modeled reliable (as the controller models it), data
 /// errors always produce a valid data-bit syndrome; the check-bit and
 /// invalid-position cases are still classified faithfully so the codec
 /// stands on its own.

@@ -82,7 +82,7 @@ impl Sub for EnergyBreakdown {
     }
 }
 
-/// Event counters, for sanity checks and command traces.
+/// Event counters, for sanity checks and per-layer reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventCounters {
     /// Single-row activations issued.
@@ -107,7 +107,8 @@ pub struct EventCounters {
     pub mode_sets: u64,
     /// Precharges.
     pub precharges: u64,
-    /// Row-buffer hits (open-page policy only).
+    /// Row-buffer hits. Always 0: the controller is closed-page, so every
+    /// activation precharges. Kept because `bench_e2e` reports it.
     pub row_buffer_hits: u64,
 }
 
@@ -173,7 +174,7 @@ pub struct ReliabilityStats {
     /// Faulty bits encountered on the write path (stuck cells or missed
     /// programming pulses), before verify-after-write ran.
     pub injected_write_faults: u64,
-    /// Detection events: an operation where duplicate sensing, parity, or
+    /// Detection events: an operation where duplicate sensing, SEC-DED, or
     /// write verification flagged a mismatch at least once.
     pub detected_errors: u64,
     /// Detection events resolved by the recovery ladder.

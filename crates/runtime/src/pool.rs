@@ -40,7 +40,7 @@ use crate::scheduler::{mode_for, BatchRequest};
 use crate::system::{bitwise_on_engine, OpSummary, PimSystem};
 use crate::RuntimeError;
 use pinatubo_core::{BitwiseOp, BulkOp, EngineStats, PinatuboEngine};
-use pinatubo_mem::{ChannelDelta, MemCommand, MemStats, PimConfig, RowAddr};
+use pinatubo_mem::{ChannelDelta, MemStats, PimConfig, RowAddr};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -101,7 +101,6 @@ struct ChannelSync {
     deltas: Vec<ChannelDelta>,
     mem_stats: MemStats,
     engine_stats: EngineStats,
-    trace: Vec<MemCommand>,
     results: Vec<JobResult>,
     /// Set when the shard worker panicked: `(position, panic message)`.
     panicked: Option<(usize, String)>,
@@ -244,7 +243,6 @@ fn sync_one_shard(shard: &mut Shard) -> ChannelSync {
             deltas: Vec::new(),
             mem_stats: MemStats::default(),
             engine_stats: EngineStats::default(),
-            trace: Vec::new(),
             results: Vec::new(),
             panicked: Some((*pos, msg.clone())),
             digest: None,
@@ -253,7 +251,6 @@ fn sync_one_shard(shard: &mut Shard) -> ChannelSync {
     let deltas = shard.engine.memory_mut().take_dirty_state();
     let mem_stats = shard.engine.memory_mut().take_stats();
     let engine_stats = shard.engine.take_engine_stats();
-    let trace = shard.engine.memory_mut().take_trace();
     let digest =
         cfg!(debug_assertions).then(|| shard.engine.memory().channel_digest(shard.channel));
     ChannelSync {
@@ -261,7 +258,6 @@ fn sync_one_shard(shard: &mut Shard) -> ChannelSync {
         deltas,
         mem_stats,
         engine_stats,
-        trace,
         results: std::mem::take(&mut shard.results),
         panicked: None,
         digest,
@@ -509,7 +505,7 @@ impl ExecSession<'_> {
     }
 
     /// Drains every channel queue and folds the shards' dirty-state
-    /// deltas, statistics and traces into the parent system.
+    /// deltas and statistics into the parent system.
     ///
     /// # Errors
     ///
@@ -753,7 +749,6 @@ impl ExecSession<'_> {
             for delta in sync.deltas {
                 mem.apply_delta(delta);
             }
-            mem.append_trace(sync.trace);
             self.system
                 .engine_mut()
                 .merge_engine_stats(sync.engine_stats);

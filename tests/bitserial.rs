@@ -25,7 +25,7 @@ fn faulty_mem() -> MemConfig {
         .with_variation(VariationModel::Gaussian)
         .with_transients(1e-5, 1e-5, 1e-5)
         .with_write_flips(1e-5);
-    mem.reliability = ReliabilityConfig::protected();
+    mem.reliability = ReliabilityConfig::protected_secded();
     mem
 }
 

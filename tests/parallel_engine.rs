@@ -18,7 +18,7 @@ fn faulty_mem() -> MemConfig {
         .with_variation(VariationModel::Gaussian)
         .with_transients(1e-5, 1e-5, 1e-5)
         .with_write_flips(1e-5);
-    mem.reliability = ReliabilityConfig::protected();
+    mem.reliability = ReliabilityConfig::protected_secded();
     mem
 }
 
@@ -572,9 +572,8 @@ fn empty_session_and_implicit_drop_are_safe() {
     assert!(s.stats().reliability.is_consistent());
 }
 
-/// [`faulty_mem`] with the read path upgraded to SEC-DED and a read
-/// transient rate high enough that in-place corrections actually fire
-/// during the batch's loads.
+/// [`faulty_mem`] with a read transient rate high enough that SEC-DED's
+/// in-place corrections actually fire during the batch's loads.
 fn faulty_mem_secded() -> MemConfig {
     let mut mem = faulty_mem();
     mem.fault_model = FaultModel::with_seed(0xD15C)

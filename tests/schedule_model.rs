@@ -26,7 +26,7 @@ fn faulty_sys() -> PimSystem {
     mem.fault_model = FaultModel::with_seed(0x5EED)
         .with_transients(1e-5, 1e-5, 1e-5)
         .with_write_flips(1e-5);
-    mem.reliability = ReliabilityConfig::protected();
+    mem.reliability = ReliabilityConfig::protected_secded();
     let mut s = PimSystem::new(mem, PinatuboConfig::default(), MappingPolicy::ChannelRotate);
     s.set_page_aligned_groups(true);
     s

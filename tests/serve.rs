@@ -24,9 +24,9 @@ fn faulty_mem() -> MemConfig {
         .with_variation(VariationModel::Gaussian)
         .with_transients(1e-5, 1e-5, 1e-5)
         .with_write_flips(1e-5);
-    // SEC-DED rather than parity-detect: a served run issues orders of
-    // magnitude more row reads than the single-app suites, and the
-    // parity ladder's bounded retries eventually lose that lottery.
+    // SEC-DED corrects single flips in place: a served run issues orders
+    // of magnitude more row reads than the single-app suites, and
+    // bounded retries alone would eventually lose that lottery.
     mem.reliability = ReliabilityConfig::protected_secded();
     mem
 }
