@@ -13,7 +13,7 @@
 //! Run with `cargo run --release -p pinatubo-bench --bin fault_sweep`.
 //! Pass `--smoke` for the CI mode: a fixed-seed scenario that exercises
 //! the whole detect/retry/split/fallback recovery ladder and asserts the
-//! resulting [`ReliabilityStats`] against a pinned snapshot.
+//! resulting [`pinatubo_mem::ReliabilityStats`] against a pinned snapshot.
 
 use pinatubo_bench::protection::{print_comparison, protection_comparison};
 use pinatubo_mem::{

@@ -114,17 +114,6 @@ impl PinatuboEngine {
         }
     }
 
-    /// Builds an engine over an existing memory (keeps its contents and
-    /// statistics).
-    #[must_use]
-    pub fn with_memory(mem: MainMemory, config: PinatuboConfig) -> Self {
-        PinatuboEngine {
-            mem,
-            config,
-            stats: EngineStats::default(),
-        }
-    }
-
     /// The underlying memory.
     #[must_use]
     pub fn memory(&self) -> &MainMemory {
@@ -134,12 +123,6 @@ impl PinatuboEngine {
     /// Mutable access to the underlying memory (workload setup).
     pub fn memory_mut(&mut self) -> &mut MainMemory {
         &mut self.mem
-    }
-
-    /// Consumes the engine, returning the memory.
-    #[must_use]
-    pub fn into_memory(self) -> MainMemory {
-        self.mem
     }
 
     /// The engine configuration.

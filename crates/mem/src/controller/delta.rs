@@ -140,7 +140,7 @@ impl MainMemory {
     /// fault-injection stream; configuration and the
     /// cached fan-in analyses are copied (never re-derived — the yield
     /// sweep is a Monte-Carlo run). Row pages are shared by reference
-    /// (one `Arc` bump per page, zero row copies — see [`crate::page`]);
+    /// (one `Arc` bump per page, zero row copies — see `crate::page`);
     /// either side deep-copies a page only on its first write to it. The
     /// shard owner brings the mirror back up to date by shipping
     /// [`ChannelDelta`]s (see [`MainMemory::take_dirty_state`]) plus its

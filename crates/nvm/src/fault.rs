@@ -75,7 +75,7 @@ pub fn unit_hash(seed: u64, channel: u32, counter: u64, column: u64, salt: u64) 
     ))
 }
 
-/// The largest |g| producible by [`gaussian_from_units`]: `u1` is at least
+/// The largest |g| producible by `gaussian_from_units`: `u1` is at least
 /// 2⁻⁵³, so `|g| ≤ √(−2 ln 2⁻⁵³) = √(106 ln 2) ≈ 8.57`. Class-interval
 /// bounds in the packed sense path rely on this being a hard bound.
 #[must_use]

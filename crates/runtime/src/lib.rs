@@ -114,6 +114,9 @@ pub enum RuntimeError {
         /// The halted channel.
         channel: u32,
     },
+    /// [`microcode::compile`] rejected the batch's shape before
+    /// allocating anything.
+    MicroBatch(microcode::MicroBatchError),
     /// The engine rejected the operation.
     Pim(PimError),
     /// The memory rejected an access.
@@ -158,6 +161,7 @@ impl fmt::Display for RuntimeError {
                 f,
                 "request skipped: channel {channel} halted on an earlier request's error"
             ),
+            RuntimeError::MicroBatch(e) => write!(f, "invalid µ-program batch: {e}"),
             RuntimeError::Pim(e) => write!(f, "engine error: {e}"),
             RuntimeError::Mem(e) => write!(f, "memory error: {e}"),
         }

@@ -43,25 +43,6 @@ pub struct TransposedVec {
 }
 
 impl TransposedVec {
-    /// Wraps already-allocated planes (plane `k` = bit `k`, LSB first).
-    /// Each plane must hold exactly `lanes` bits.
-    #[must_use]
-    pub fn from_planes(planes: Vec<PimBitVec>, lanes: u64) -> Self {
-        assert!(
-            (1..=64).contains(&planes.len()),
-            "a transposed vector needs 1..=64 planes, got {}",
-            planes.len()
-        );
-        for p in &planes {
-            assert_eq!(
-                p.len_bits(),
-                lanes,
-                "every bit-plane must hold exactly one bit per lane"
-            );
-        }
-        TransposedVec { planes, lanes }
-    }
-
     /// Number of integer lanes.
     #[must_use]
     pub fn lanes(&self) -> u64 {
@@ -318,20 +299,6 @@ impl MicroProgram {
             MicroOut::Mask(m) => vec![m.clone()],
         }
     }
-
-    /// Scalar reference result for one lane (delegates to
-    /// [`ArithOp::eval_lane`]; the second operand is the lane of `b` or
-    /// the broadcast constant).
-    #[must_use]
-    pub fn reference_lane(&self, a: u64, b: u64) -> u64 {
-        let rhs = if self.b.is_some() { b } else { self.konst };
-        // `cmp_ge_const` stores a konst that may exceed the lane range by
-        // one (the constant-false encoding); eval_lane would mask it.
-        if self.b.is_none() && self.konst > ArithOp::lane_mask(self.a.width_bits()) {
-            return 0;
-        }
-        self.op.eval_lane(a, rhs, self.a.width_bits())
-    }
 }
 
 /// Compiler switches: both on by default (the optimized pipeline);
@@ -406,12 +373,10 @@ struct Builder {
     /// on — it is a correctness rule, not an optimization (output copies
     /// are emitted after all gate requests).
     written: HashMap<u64, usize>,
-    /// Every output plane id in the batch, for read-before-write checks.
-    dst_ids: HashSet<u64>,
 }
 
 impl Builder {
-    fn new(opts: CompileOptions, dst_ids: HashSet<u64>) -> Self {
+    fn new(opts: CompileOptions) -> Self {
         Builder {
             opts,
             exprs: Vec::new(),
@@ -420,7 +385,6 @@ impl Builder {
             input_nodes: HashMap::new(),
             const_nodes: [None, None],
             written: HashMap::new(),
-            dst_ids,
         }
     }
 
@@ -453,15 +417,11 @@ impl Builder {
     }
 
     fn input(&mut self, plane: &PimBitVec) -> usize {
+        // `check_shape` ruled out reading a destination plane before its
+        // producer, so a plane not yet written is a true input.
         if let Some(&n) = self.written.get(&plane.id()) {
             return n;
         }
-        assert!(
-            !self.dst_ids.contains(&plane.id()),
-            "µ-program input plane {} is overwritten later in the same batch \
-             (destinations must be fresh or read only after their producer)",
-            plane.id()
-        );
         if let Some(&n) = self.input_nodes.get(&plane.id()) {
             return n;
         }
@@ -806,6 +766,99 @@ struct AbsReq {
     dst: AbsLoc,
 }
 
+/// A µ-program batch shape [`compile`] rejects; `program` is the index
+/// of the first offending program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MicroBatchError {
+    /// The program's lane count differs from the first program's.
+    LaneMismatch {
+        /// Offending program.
+        program: usize,
+        /// The first program's lane count.
+        expected: u64,
+        /// This program's lane count.
+        got: u64,
+    },
+    /// The program writes an output plane an earlier program writes.
+    DuplicateDestination {
+        /// Offending program.
+        program: usize,
+        /// The plane's vector id.
+        plane: u64,
+    },
+    /// The program reads a plane that it or a later program writes
+    /// (read a written plane only *after* its producing program; in-place
+    /// µ-ops are not supported).
+    ReadBeforeWrite {
+        /// Offending program.
+        program: usize,
+        /// The plane's vector id.
+        plane: u64,
+    },
+}
+
+impl std::fmt::Display for MicroBatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            MicroBatchError::LaneMismatch {
+                program,
+                expected,
+                got,
+            } => write!(
+                f,
+                "program {program} has {got} lanes, the batch has {expected}"
+            ),
+            MicroBatchError::DuplicateDestination { program, plane } => write!(
+                f,
+                "program {program} writes output plane {plane}, which an earlier program writes"
+            ),
+            MicroBatchError::ReadBeforeWrite { program, plane } => write!(
+                f,
+                "program {program} reads plane {plane} before the program that writes it"
+            ),
+        }
+    }
+}
+
+/// The batch shape [`compile`] relies on: one lane count, distinct
+/// output planes, and every written plane read only after the program
+/// that writes it (each program reads every plane of its operands).
+fn check_shape(programs: &[MicroProgram]) -> Result<(), MicroBatchError> {
+    let lanes = programs.first().map_or(0, |p| p.a.lanes());
+    let mut dst_ids = HashSet::new();
+    for (program, p) in programs.iter().enumerate() {
+        if p.a.lanes() != lanes {
+            return Err(MicroBatchError::LaneMismatch {
+                program,
+                expected: lanes,
+                got: p.a.lanes(),
+            });
+        }
+        for plane in p.out_planes() {
+            if !dst_ids.insert(plane.id()) {
+                return Err(MicroBatchError::DuplicateDestination {
+                    program,
+                    plane: plane.id(),
+                });
+            }
+        }
+    }
+    let mut written = HashSet::new();
+    for (program, p) in programs.iter().enumerate() {
+        let operands = std::iter::once(&p.a).chain(&p.b);
+        for plane in operands.flat_map(TransposedVec::planes) {
+            if dst_ids.contains(&plane.id()) && !written.contains(&plane.id()) {
+                return Err(MicroBatchError::ReadBeforeWrite {
+                    program,
+                    plane: plane.id(),
+                });
+            }
+        }
+        written.extend(p.out_planes().iter().map(PimBitVec::id));
+    }
+    Ok(())
+}
+
 /// Compiles a batch of µ-programs into one [`CompiledBatch`].
 ///
 /// All programs are expanded into a single expression DAG (hash-consed
@@ -817,48 +870,28 @@ struct AbsReq {
 /// analysis, which all execution paths (serial, planned, session pool)
 /// share.
 ///
-/// # Panics
-///
-/// On shape errors: mixed lane counts in one batch, duplicate
-/// destination planes, or a destination plane also read as a fresh input
-/// (read a written plane only *after* its producing program).
-///
 /// # Errors
 ///
-/// [`RuntimeError::OutOfMemory`] if the scratch group does not fit.
+/// * [`RuntimeError::MicroBatch`] on a batch shape the compiler cannot
+///   lower (see [`MicroBatchError`]), before any scratch row is
+///   allocated;
+/// * [`RuntimeError::OutOfMemory`] if the scratch group does not fit.
 pub fn compile(
     programs: &[MicroProgram],
     opts: CompileOptions,
     sys: &mut PimSystem,
 ) -> Result<CompiledBatch, RuntimeError> {
-    let lanes = match programs.first() {
-        Some(p) => p.a.lanes(),
-        None => {
-            return Ok(CompiledBatch {
-                requests: Vec::new(),
-                scratch: Vec::new(),
-                live_gates: 0,
-            })
-        }
+    check_shape(programs).map_err(RuntimeError::MicroBatch)?;
+    let Some(lanes) = programs.first().map(|p| p.a.lanes()) else {
+        return Ok(CompiledBatch {
+            requests: Vec::new(),
+            scratch: Vec::new(),
+            live_gates: 0,
+        });
     };
-    let mut dst_ids = HashSet::new();
-    for p in programs {
-        assert_eq!(
-            p.a.lanes(),
-            lanes,
-            "every µ-program in a batch must share one lane count"
-        );
-        for plane in p.out_planes() {
-            assert!(
-                dst_ids.insert(plane.id()),
-                "two µ-programs write output plane {}",
-                plane.id()
-            );
-        }
-    }
 
     // 1. Expand every program into the shared DAG.
-    let mut b = Builder::new(opts, dst_ids);
+    let mut b = Builder::new(opts);
     let mut outputs: Vec<(usize, PimBitVec, PimBitVec)> = Vec::new();
     for p in programs {
         let seed = p.a.planes[0].clone();
@@ -1277,9 +1310,20 @@ mod tests {
         compiled.release(&mut s);
     }
 
+    /// Compiles `batch` expecting a shape error, and checks that the
+    /// rejection allocated nothing.
+    fn rejected(s: &mut PimSystem, batch: &[MicroProgram]) -> MicroBatchError {
+        let free_before = s.allocator().free_rows();
+        let err = compile(batch, CompileOptions::default(), s).expect_err("bad batch shape");
+        assert_eq!(s.allocator().free_rows(), free_before, "nothing allocated");
+        match err {
+            RuntimeError::MicroBatch(e) => e,
+            other => panic!("expected a batch-shape error, got {other}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "overwritten later in the same batch")]
-    fn read_before_write_of_a_destination_panics() {
+    fn read_before_write_of_a_destination_is_rejected() {
         let mut s = sys();
         let a = s.alloc_transposed(16, 8).expect("a");
         let bb = s.alloc_transposed(16, 8).expect("b");
@@ -1289,12 +1333,17 @@ mod tests {
             MicroProgram::add(&dst, &a, &bb),
             MicroProgram::add(&a, &a, &dst),
         ];
-        let _ = compile(&batch, CompileOptions::default(), &mut s);
+        assert_eq!(
+            rejected(&mut s, &batch),
+            MicroBatchError::ReadBeforeWrite {
+                program: 0,
+                plane: dst.planes()[0].id(),
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "two µ-programs write output plane")]
-    fn duplicate_destinations_panic() {
+    fn duplicate_destinations_are_rejected() {
         let mut s = sys();
         let a = s.alloc_transposed(16, 8).expect("a");
         let dst = s.alloc_transposed(16, 8).expect("dst");
@@ -1302,7 +1351,34 @@ mod tests {
             MicroProgram::add(&a, &a, &dst),
             MicroProgram::sub(&a, &a, &dst),
         ];
-        let _ = compile(&batch, CompileOptions::default(), &mut s);
+        assert_eq!(
+            rejected(&mut s, &batch),
+            MicroBatchError::DuplicateDestination {
+                program: 1,
+                plane: dst.planes()[0].id(),
+            }
+        );
+    }
+
+    #[test]
+    fn mixed_lane_counts_are_rejected() {
+        let mut s = sys();
+        let a = s.alloc_transposed(16, 8).expect("a");
+        let wide = s.alloc_transposed(32, 8).expect("wide");
+        let dst = s.alloc_transposed(16, 8).expect("dst");
+        let wide_dst = s.alloc_transposed(32, 8).expect("wide dst");
+        let batch = [
+            MicroProgram::add(&a, &a, &dst),
+            MicroProgram::add(&wide, &wide, &wide_dst),
+        ];
+        assert_eq!(
+            rejected(&mut s, &batch),
+            MicroBatchError::LaneMismatch {
+                program: 1,
+                expected: 16,
+                got: 32,
+            }
+        );
     }
 
     #[test]

@@ -16,9 +16,16 @@
 //! * a channel-straddling request (its rows span channels) must see the
 //!   unified memory, so it drains every queue, runs on the parent, and
 //!   pushes the rows it touched back out to the owning shards;
-//! * [`ExecSession::sync`] / [`ExecSession::close`] and the read-side
-//!   helpers ([`ExecSession::load`], [`ExecSession::stats`], …) drain
-//!   the queues and fold the deltas into the parent.
+//! * [`ExecSession::sync`], [`ExecSession::close`] and
+//!   [`ExecSession::load`] drain the queues and fold the deltas into the
+//!   parent; [`ExecSession::store`] also writes through the parent and
+//!   pushes the write back out.
+//!
+//! Every request takes one path: [`ExecSession::submit_batch`] shares the
+//! batch with the workers as one slab, and [`ExecSession::submit`] is a
+//! one-request slab (planning one request is the identity). The operand
+//! lengths are checked at submit time, so a malformed request fails
+//! there rather than deep in a worker.
 //!
 //! Results are bit-, stats- and fault-ledger-identical to
 //! [`PimSystem::execute_batch_serial`] on the same request stream,
@@ -37,7 +44,7 @@
 
 use crate::bitvec::PimBitVec;
 use crate::scheduler::{mode_for, BatchRequest};
-use crate::system::{bitwise_on_engine, OpSummary, PimSystem};
+use crate::system::{bitwise_on_engine, check_lengths, OpSummary, PimSystem};
 use crate::RuntimeError;
 use pinatubo_core::{BitwiseOp, BulkOp, EngineStats, PinatuboEngine};
 use pinatubo_mem::{ChannelDelta, MemStats, PimConfig, RowAddr};
@@ -47,33 +54,16 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The request payload a [`Job`] carries across the thread boundary.
-enum JobWork {
-    /// A request submitted on its own: owns clones of its handles
-    /// (`PimBitVec` handles are plain row lists — cloning one does not
-    /// clone the simulated storage).
-    Owned {
-        op: BitwiseOp,
-        operands: Vec<PimBitVec>,
-        dst: PimBitVec,
-    },
-    /// One request of a batch submitted through
-    /// [`ExecSession::submit_batch`]: the whole batch crosses as a
-    /// single shared slab, so dispatch clones no handles at all — each
-    /// job is an index plus an `Arc` bump.
-    Batch {
-        slab: Arc<Vec<BatchRequest>>,
-        index: usize,
-    },
-}
-
 /// One dispatched request, self-contained so it can cross the thread
-/// boundary.
+/// boundary: the request travels as an index into a shared slab, so
+/// dispatch clones no row handles — each job is an index plus an `Arc`
+/// bump.
 struct Job {
     pos: usize,
     channel: u32,
     prime: PimConfig,
-    work: JobWork,
+    slab: Arc<Vec<BatchRequest>>,
+    index: usize,
     row_bits: u64,
 }
 
@@ -209,16 +199,11 @@ fn run_one(shards: &mut [Shard], orphans: &mut Vec<JobResult>, job: Job) {
         return;
     }
     let engine = &mut shard.engine;
-    let (op, operands, dst): (BitwiseOp, Vec<&PimBitVec>, &PimBitVec) = match &job.work {
-        JobWork::Owned { op, operands, dst } => (*op, operands.iter().collect(), dst),
-        JobWork::Batch { slab, index } => {
-            let request = &slab[*index];
-            (request.op, request.operands.iter().collect(), &request.dst)
-        }
-    };
+    let request = &job.slab[job.index];
+    let operands: Vec<&PimBitVec> = request.operands.iter().collect();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         engine.memory_mut().preload_pim_config(job.prime);
-        bitwise_on_engine(engine, job.row_bits, op, &operands, dst)
+        bitwise_on_engine(engine, job.row_bits, request.op, &operands, &request.dst)
     }));
     match outcome {
         Ok(Ok(v)) => shard.results.push((job.pos, Ok(v))),
@@ -392,40 +377,45 @@ impl ExecSession<'_> {
         operands: &[&PimBitVec],
         dst: &PimBitVec,
     ) -> Result<usize, RuntimeError> {
-        self.submit_work(op, operands, dst, |op, operands, dst| JobWork::Owned {
+        // `PimBitVec` handles are plain row lists: cloning one into the
+        // slab does not clone the simulated storage.
+        let slab = Arc::new(vec![BatchRequest {
             op,
             operands: operands.iter().map(|v| (*v).clone()).collect(),
             dst: dst.clone(),
-        })
+        }]);
+        self.submit_work(&slab, 0)
     }
 
-    /// Routes one request: queue it on its home channel (payload built
-    /// by `make_work`, so the batch path can avoid cloning handles), or
-    /// sync and run it on the unified memory if it straddles channels.
+    /// Routes request `index` of `slab`: queue it on its home channel,
+    /// or sync and run it on the unified memory if it straddles
+    /// channels.
     fn submit_work(
         &mut self,
-        op: BitwiseOp,
-        operands: &[&PimBitVec],
-        dst: &PimBitVec,
-        make_work: impl FnOnce(BitwiseOp, &[&PimBitVec], &PimBitVec) -> JobWork,
+        slab: &Arc<Vec<BatchRequest>>,
+        index: usize,
     ) -> Result<usize, RuntimeError> {
         if let Some((_, e)) = &self.first_err {
             return Err(e.clone());
         }
         let pos = self.slots.len();
-        if let Err(e) = validate_lengths(operands, dst) {
+        let request = &slab[index];
+        let (op, dst) = (request.op, &request.dst);
+        let operands: Vec<&PimBitVec> = request.operands.iter().collect();
+        if let Err(e) = check_lengths(&operands, dst) {
             self.note_err(pos, e.clone());
             self.slots.push(None);
             return Err(e);
         }
         let prime = self.last_op.map_or(self.entry_mode, mode_for);
-        match home_of(operands, dst) {
+        match home_of(&operands, dst) {
             Some(channel) => {
                 let job = Job {
                     pos,
                     channel,
                     prime,
-                    work: make_work(op, operands, dst),
+                    slab: Arc::clone(slab),
+                    index,
                     row_bits: self.row_bits,
                 };
                 let thread = self.thread_of[&channel];
@@ -448,7 +438,7 @@ impl ExecSession<'_> {
                     .engine_mut()
                     .memory_mut()
                     .preload_pim_config(prime);
-                match bitwise_on_engine(self.system.engine_mut(), self.row_bits, op, operands, dst)
+                match bitwise_on_engine(self.system.engine_mut(), self.row_bits, op, &operands, dst)
                 {
                     Ok(v) => self.slots.push(Some(v)),
                     Err(e) => {
@@ -492,14 +482,7 @@ impl ExecSession<'_> {
         let order = self.system.plan_batch(requests);
         let mut positions = vec![0usize; requests.len()];
         for &i in &order {
-            let request = &requests[i];
-            let operands: Vec<&PimBitVec> = request.operands.iter().collect();
-            positions[i] = self.submit_work(request.op, &operands, &request.dst, |_, _, _| {
-                JobWork::Batch {
-                    slab: Arc::clone(requests),
-                    index: i,
-                }
-            })?;
+            positions[i] = self.submit_work(requests, i)?;
         }
         Ok(positions)
     }
@@ -545,94 +528,6 @@ impl ExecSession<'_> {
         Ok(self.system.load(vec))
     }
 
-    /// Population count of a vector (a sync point).
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecSession::sync`].
-    pub fn count_ones(&mut self, vec: &PimBitVec) -> Result<u64, RuntimeError> {
-        self.sync()?;
-        Ok(self.system.count_ones(vec))
-    }
-
-    /// Accumulated memory statistics over everything submitted so far
-    /// (a sync point).
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecSession::sync`].
-    pub fn stats(&mut self) -> Result<MemStats, RuntimeError> {
-        self.sync()?;
-        Ok(*self.system.stats())
-    }
-
-    /// Read-only view of the parent system. Between sync points the
-    /// parent's channel mirrors and statistics lag the shards — call
-    /// [`ExecSession::sync`] first for a reconciled view.
-    #[must_use]
-    pub fn system(&self) -> &PimSystem {
-        self.system
-    }
-
-    /// Allocates a vector mid-session (see [`PimSystem::alloc`]).
-    /// Allocation is allocator bookkeeping only — it touches no
-    /// simulated memory — so unlike [`ExecSession::store`] it is *not* a
-    /// sync point and costs in-flight work nothing.
-    ///
-    /// # Errors
-    ///
-    /// See [`PimSystem::alloc`].
-    pub fn alloc(&mut self, len_bits: u64) -> Result<PimBitVec, RuntimeError> {
-        self.system.alloc(len_bits)
-    }
-
-    /// Allocates a co-operated group mid-session (see
-    /// [`PimSystem::alloc_group`]); not a sync point.
-    ///
-    /// # Errors
-    ///
-    /// See [`PimSystem::alloc_group`].
-    pub fn alloc_group(
-        &mut self,
-        count: usize,
-        len_bits: u64,
-    ) -> Result<Vec<PimBitVec>, RuntimeError> {
-        self.system.alloc_group(count, len_bits)
-    }
-
-    /// Channel-steered group allocation mid-session (see
-    /// [`PimSystem::alloc_group_on_channel`]); not a sync point. The
-    /// serving layer pairs this with the parent's wear ledger to place
-    /// new tenant data on the least-worn channel.
-    ///
-    /// # Errors
-    ///
-    /// See [`PimSystem::alloc_group_on_channel`].
-    pub fn alloc_group_on_channel(
-        &mut self,
-        channel: u32,
-        count: usize,
-        len_bits: u64,
-    ) -> Result<Vec<PimBitVec>, RuntimeError> {
-        self.system.alloc_group_on_channel(channel, count, len_bits)
-    }
-
-    /// Releases vectors' rows back to the allocation pool (see
-    /// [`PimSystem::release_vecs`]); not a sync point. The caller must
-    /// not release vectors still referenced by unsynced submissions.
-    pub fn release_vecs<'a, I>(&mut self, vecs: I) -> usize
-    where
-        I: IntoIterator<Item = &'a PimBitVec>,
-    {
-        self.system.release_vecs(vecs)
-    }
-
-    /// How many requests have been submitted to this session.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Ends the session: final sync, worker shutdown, and the abstract
     /// trace of every completed request pushed to the parent in
     /// submission order. Returns the per-request cost summaries, in
@@ -672,7 +567,8 @@ impl ExecSession<'_> {
     /// failed request's position carries its root cause; positions
     /// queued behind it on the same channel carry
     /// [`RuntimeError::ChannelHalted`]. Complete only after a sync
-    /// point ([`ExecSession::sync`] or any read-side helper).
+    /// point ([`ExecSession::sync`], [`ExecSession::load`] or
+    /// [`ExecSession::store`]).
     #[must_use]
     pub fn position_errors(&self) -> &std::collections::BTreeMap<usize, RuntimeError> {
         &self.errors
@@ -820,26 +716,117 @@ fn all_rows<'a>(
         .chain(operands.iter().flat_map(|v| v.rows().iter().copied()))
 }
 
-/// The same eager checks [`bitwise_on_engine`] performs, so malformed
-/// submissions fail at submit time instead of deep in a worker.
-fn validate_lengths(operands: &[&PimBitVec], dst: &PimBitVec) -> Result<(), RuntimeError> {
-    let Some(first) = operands.first() else {
-        return Err(RuntimeError::Pim(pinatubo_core::PimError::EmptyOperands));
-    };
-    let len = first.len_bits();
-    for v in operands.iter().skip(1) {
-        if v.len_bits() != len {
-            return Err(RuntimeError::LengthMismatch {
-                expected_bits: len,
-                got_bits: v.len_bits(),
-            });
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapping::MappingPolicy;
+    use pinatubo_core::PimError;
+
+    fn sys() -> PimSystem {
+        PimSystem::pcm_default(MappingPolicy::ChannelRotate)
+    }
+
+    /// Submits one malformed request — operands and destination of the
+    /// given lengths — through a fresh session and checks that the error
+    /// comes back at submit time, is recorded at the request's position,
+    /// and is what `close` reports.
+    fn assert_rejected_eagerly(
+        operand_bits: &[u64],
+        dst_bits: u64,
+        as_batch: bool,
+        expected: &RuntimeError,
+    ) {
+        let mut s = sys();
+        let ok = s.alloc_group(3, 64).expect("ok group");
+        let request = BatchRequest {
+            op: BitwiseOp::And,
+            operands: operand_bits
+                .iter()
+                .map(|&bits| s.alloc(bits).expect("operand"))
+                .collect(),
+            dst: s.alloc(dst_bits).expect("dst"),
+        };
+        let mut session = s.open_session();
+        // A good request first, so the bad one sits at position 1.
+        session
+            .submit(BitwiseOp::Or, &[&ok[0], &ok[1]], &ok[2])
+            .expect("good request");
+        let err = if as_batch {
+            session.submit_batch(std::slice::from_ref(&request))
+        } else {
+            let operands: Vec<&PimBitVec> = request.operands.iter().collect();
+            session
+                .submit(request.op, &operands, &request.dst)
+                .map(|pos| vec![pos])
+        }
+        .expect_err("malformed request");
+        assert_eq!(&err, expected);
+        assert_eq!(
+            session.position_errors().iter().collect::<Vec<_>>(),
+            vec![(&1, expected)]
+        );
+        // A failed session refuses further work with the first error.
+        assert_eq!(
+            session.submit(BitwiseOp::Or, &[&ok[0], &ok[1]], &ok[2]),
+            Err(expected.clone())
+        );
+        assert_eq!(session.close().expect_err("close reports it"), *expected);
+    }
+
+    #[test]
+    fn malformed_submissions_fail_at_submit_time() {
+        let mismatch = |got_bits| RuntimeError::LengthMismatch {
+            expected_bits: 100,
+            got_bits,
+        };
+        for as_batch in [false, true] {
+            let empty = RuntimeError::Pim(PimError::EmptyOperands);
+            assert_rejected_eagerly(&[], 100, as_batch, &empty);
+            assert_rejected_eagerly(&[100, 200], 100, as_batch, &mismatch(200));
+            assert_rejected_eagerly(&[100, 100], 50, as_batch, &mismatch(50));
         }
     }
-    if dst.len_bits() != len {
-        return Err(RuntimeError::LengthMismatch {
-            expected_bits: len,
-            got_bits: dst.len_bits(),
-        });
+
+    #[test]
+    fn one_request_submit_matches_a_one_request_batch() {
+        // A channel-confined request (queued on its shard) and a
+        // channel-straddling one (run on the parent after a full sync).
+        let build = |s: &mut PimSystem, straddle: bool| {
+            let g = s.alloc_group(3, 4096).expect("group");
+            let other = s.alloc_group(1, 4096).expect("next channel");
+            assert_ne!(g[0].rows()[0].channel, other[0].rows()[0].channel);
+            let bits: Vec<bool> = (0..4096).map(|i| i % 3 == 0).collect();
+            s.store(&g[0], &bits).expect("store");
+            s.store(&other[0], &bits).expect("store");
+            let second = if straddle { &other[0] } else { &g[1] };
+            BatchRequest {
+                op: BitwiseOp::Xor,
+                operands: vec![g[0].clone(), second.clone()],
+                dst: g[2].clone(),
+            }
+        };
+        for straddle in [false, true] {
+            let mut single = sys();
+            let request = build(&mut single, straddle);
+            let operands: Vec<&PimBitVec> = request.operands.iter().collect();
+            let mut session = single.open_session();
+            session
+                .submit(request.op, &operands, &request.dst)
+                .expect("submit");
+            let single_summaries = session.close().expect("close");
+
+            let mut batched = sys();
+            let request = build(&mut batched, straddle);
+            let mut session = batched.open_session();
+            session
+                .submit_batch(std::slice::from_ref(&request))
+                .expect("submit_batch");
+            let batched_summaries = session.close().expect("close");
+
+            assert_eq!(single_summaries, batched_summaries, "straddle={straddle}");
+            assert_eq!(single.load(&request.dst), batched.load(&request.dst));
+            assert_eq!(single.trace(), batched.trace());
+            assert_eq!(single.stats(), batched.stats());
+        }
     }
-    Ok(())
 }

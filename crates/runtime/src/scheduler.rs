@@ -27,12 +27,13 @@
 //!   account, by construction. The result is reported in a
 //!   [`MakespanReport`] alongside the serial sum.
 //!
-//! Reordering is dependence-aware: requests are grouped into topological
-//! levels by row conflicts (read-after-write, write-after-anything), and
-//! only reordered within a level. [`PimSystem::plan_batch`] goes further
-//! than the static level/mode sort: a greedy list schedule dispatches,
-//! at every step, the dependence-ready request with the earliest
-//! completion under the same command-stream model the report uses, and a
+//! Reordering is dependence-aware: a request never moves ahead of an
+//! earlier request it conflicts with on a row (read-after-write,
+//! write-after-anything). [`PimSystem::plan_batch`] is the one planner
+//! every executor uses: a greedy list schedule dispatches, at every
+//! step, the dependence-ready request with the earliest completion
+//! under the same command-stream model the report uses (ties go to the
+//! current mode, batching mode-register writes), and a
 //! bounded-lookahead beam search (see [`PimSystem::plan_batch`]) refines
 //! the greedy order where one-step lookahead is provably suboptimal,
 //! with the greedy order kept as the fallback incumbent — the planned
@@ -204,37 +205,6 @@ impl MakespanReport {
     }
 }
 
-/// Computes the dependence-respecting, mode-grouped execution order.
-/// Returns indices into `requests`.
-#[must_use]
-pub fn schedule(requests: &[BatchRequest]) -> Vec<usize> {
-    // Topological levels by conflict: level(i) = 1 + max level of any
-    // earlier conflicting request.
-    let mut levels = vec![0usize; requests.len()];
-    for i in 0..requests.len() {
-        for j in 0..i {
-            if requests[i].depends_on(&requests[j]) {
-                levels[i] = levels[i].max(levels[j] + 1);
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    // Stable sort: primary by level (dependences), secondary by operation
-    // kind (mode-register batching).
-    order.sort_by_key(|&i| (levels[i], mode_rank(requests[i].op)));
-    order
-}
-
-/// Stable grouping key for mode-register batching.
-fn mode_rank(op: BitwiseOp) -> u8 {
-    match op {
-        BitwiseOp::Or => 0,
-        BitwiseOp::And => 1,
-        BitwiseOp::Xor => 2,
-        BitwiseOp::Not => 3,
-    }
-}
-
 /// Counts adjacent operation-kind transitions (≈ mode-register switches).
 fn mode_switches(ops: impl Iterator<Item = BitwiseOp>) -> u64 {
     let mut switches = 0;
@@ -372,8 +342,8 @@ impl PimSystem {
     /// every step the candidate whose command stream would *finish*
     /// earliest on the per-channel timelines (the same command-granularity
     /// model [`MakespanReport`] accounts). For batches of at most
-    /// [`BEAM_LIMIT`] requests, a bounded-lookahead beam search
-    /// ([`BEAM_WIDTH`] partial schedules, [`BEAM_BRANCH`]-way branching
+    /// `BEAM_LIMIT` (64) requests, a bounded-lookahead beam search
+    /// (`BEAM_WIDTH` = 4 partial schedules, `BEAM_BRANCH` = 4-way branching
     /// over the earliest-finishing ready candidates plus a
     /// longest-remaining injection) then tries to beat the greedy order;
     /// the greedy order is the incumbent and is returned unless the beam's
@@ -800,7 +770,7 @@ mod tests {
                 dst: out.clone(),
             },
         ];
-        let order = schedule(&batch);
+        let order = s.plan_batch(&batch);
         assert_eq!(order, vec![0, 1], "RAW dependence must hold the order");
         s.execute_batch(&batch).expect("batch runs");
         assert_eq!(s.count_ones(&out), 128, "mid's value flowed into out");
@@ -832,7 +802,7 @@ mod tests {
                 dst: dst.clone(),
             },
         ];
-        let order = schedule(&batch);
+        let order = s.plan_batch(&batch);
         let pos = |i: usize| order.iter().position(|&x| x == i).expect("present");
         assert!(pos(0) < pos(1), "WAR order");
         assert!(pos(1) < pos(2), "the AND reads the NOT's output");
@@ -1037,10 +1007,9 @@ mod tests {
     fn list_scheduling_beats_static_order_on_rank_conflicts() {
         // Two ranks × eight banks on channel 0, submitted rank-clumped,
         // with tRRD/tFAW tight enough that back-to-back same-rank
-        // launches gate each other. The static topological order keeps
-        // the clumped submission order (all level 0, all OR), so rank 1's
-        // launches trail rank 0's entire gated train; the list scheduler
-        // alternates ranks and halves the launch tail.
+        // launches gate each other. Submission order keeps the clumps,
+        // so rank 1's launches trail rank 0's entire gated train; the
+        // list scheduler alternates ranks and halves the launch tail.
         let mut mem = pinatubo_mem::MemConfig::pcm_default();
         mem.timing.t_rrd_ns = 150.0;
         mem.timing.t_faw_ns = 600.0;
@@ -1068,12 +1037,7 @@ mod tests {
             })
             .collect();
 
-        let static_order = schedule(&batch);
-        assert_eq!(
-            static_order,
-            (0..16).collect::<Vec<_>>(),
-            "independent same-op requests keep submission order statically"
-        );
+        let static_order: Vec<usize> = (0..16).collect();
         let mut static_sys = make_sys();
         let mut per_op = Vec::new();
         for &i in &static_order {

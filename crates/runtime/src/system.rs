@@ -4,7 +4,9 @@ use crate::alloc::PimAllocator;
 use crate::bitvec::PimBitVec;
 use crate::mapping::MappingPolicy;
 use crate::RuntimeError;
-use pinatubo_core::{BitwiseOp, BulkOp, OpClass, OpOutcome, PinatuboConfig, PinatuboEngine};
+use pinatubo_core::{
+    BitwiseOp, BulkOp, OpClass, OpOutcome, PimError, PinatuboConfig, PinatuboEngine,
+};
 use pinatubo_mem::{MemConfig, MemStats, ReliabilityStats, RowData, TimeBreakdown};
 
 /// A complete Pinatubo system: engine + allocator + driver.
@@ -300,12 +302,7 @@ impl PimSystem {
     /// [`RuntimeError::LengthMismatch`] if the lengths differ; engine
     /// errors pass through.
     pub fn copy(&mut self, src: &PimBitVec, dst: &PimBitVec) -> Result<OpSummary, RuntimeError> {
-        if src.len_bits() != dst.len_bits() {
-            return Err(RuntimeError::LengthMismatch {
-                expected_bits: src.len_bits(),
-                got_bits: dst.len_bits(),
-            });
-        }
+        check_lengths(&[src], dst)?;
         let row_bits = self.row_bits();
         let mut summary = OpSummary::default();
         for ((_, src_row, seg_bits), (_, dst_row, _)) in src
@@ -314,16 +311,7 @@ impl PimSystem {
             .into_iter()
             .zip(dst.segments(row_bits).collect::<Vec<_>>())
         {
-            let outcome = self.engine.copy_row(src_row, dst_row, seg_bits)?;
-            summary.time_ns += outcome.time_ns();
-            summary.shared_ns += outcome.stats.time.shared_ns();
-            summary.activations +=
-                outcome.stats.events.activates + outcome.stats.events.multi_activates;
-            summary.energy_pj += outcome.energy_pj();
-            summary.class = summary.class.max(outcome.class);
-            summary.segments += 1;
-            summary.reliability += outcome.stats.reliability;
-            summary.time += outcome.stats.time;
+            summary.add_segment(&self.engine.copy_row(src_row, dst_row, seg_bits)?);
         }
         Ok(summary)
     }
@@ -358,25 +346,7 @@ pub(crate) fn bitwise_on_engine(
     operands: &[&PimBitVec],
     dst: &PimBitVec,
 ) -> Result<(OpSummary, BulkOp), RuntimeError> {
-    let Some(first) = operands.first() else {
-        return Err(RuntimeError::Pim(pinatubo_core::PimError::EmptyOperands));
-    };
-    let len = first.len_bits();
-    for v in operands.iter().skip(1) {
-        if v.len_bits() != len {
-            return Err(RuntimeError::LengthMismatch {
-                expected_bits: len,
-                got_bits: v.len_bits(),
-            });
-        }
-    }
-    if dst.len_bits() != len {
-        return Err(RuntimeError::LengthMismatch {
-            expected_bits: len,
-            got_bits: dst.len_bits(),
-        });
-    }
-
+    let len = check_lengths(operands, dst)?;
     let mut summary = OpSummary::default();
     // One operand-row buffer reused across the segments: the per-segment
     // `collect()` here used to be the hottest allocation in batch runs.
@@ -384,16 +354,7 @@ pub(crate) fn bitwise_on_engine(
     for (i, dst_row, seg_bits) in dst.segments(row_bits) {
         rows.clear();
         rows.extend(operands.iter().map(|v| v.rows()[i]));
-        let outcome: OpOutcome = engine.bulk_op(op, &rows, dst_row, seg_bits)?;
-        summary.time_ns += outcome.time_ns();
-        summary.shared_ns += outcome.stats.time.shared_ns();
-        summary.activations +=
-            outcome.stats.events.activates + outcome.stats.events.multi_activates;
-        summary.energy_pj += outcome.energy_pj();
-        summary.class = summary.class.max(outcome.class);
-        summary.segments += 1;
-        summary.reliability += outcome.stats.reliability;
-        summary.time += outcome.stats.time;
+        summary.add_segment(&engine.bulk_op(op, &rows, dst_row, seg_bits)?);
     }
     let record = BulkOp {
         op,
@@ -402,6 +363,30 @@ pub(crate) fn bitwise_on_engine(
         locality: summary.class,
     };
     Ok((summary, record))
+}
+
+/// The one operand-length check, shared by [`bitwise_on_engine`],
+/// [`PimSystem::copy`] and the execution session's submit-time
+/// validation: at least one operand, and every further operand and the
+/// destination as long as the first. Returns that length.
+///
+/// # Errors
+///
+/// [`PimError::EmptyOperands`] (wrapped) without operands, else
+/// [`RuntimeError::LengthMismatch`] for the first length that differs.
+pub(crate) fn check_lengths(operands: &[&PimBitVec], dst: &PimBitVec) -> Result<u64, RuntimeError> {
+    let Some(first) = operands.first() else {
+        return Err(RuntimeError::Pim(PimError::EmptyOperands));
+    };
+    let len = first.len_bits();
+    let others = operands[1..].iter().map(|v| v.len_bits());
+    match others.chain([dst.len_bits()]).find(|&got| got != len) {
+        Some(got_bits) => Err(RuntimeError::LengthMismatch {
+            expected_bits: len,
+            got_bits,
+        }),
+        None => Ok(len),
+    }
 }
 
 /// What one `pim_op` cost across its row segments.
@@ -434,6 +419,19 @@ pub struct OpSummary {
 }
 
 impl OpSummary {
+    /// Folds one row segment's outcome into the summary (the statement
+    /// order fixes the float sums, so every caller folds identically).
+    fn add_segment(&mut self, outcome: &OpOutcome) {
+        self.time_ns += outcome.time_ns();
+        self.shared_ns += outcome.stats.time.shared_ns();
+        self.activations += outcome.stats.events.activates + outcome.stats.events.multi_activates;
+        self.energy_pj += outcome.energy_pj();
+        self.class = self.class.max(outcome.class);
+        self.segments += 1;
+        self.reliability += outcome.stats.reliability;
+        self.time += outcome.stats.time;
+    }
+
     /// Bank-local portion of `time_ns` (activation, sensing, writes, GDL,
     /// precharge): overlappable with other banks' work in a batch.
     #[must_use]

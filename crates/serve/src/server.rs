@@ -2,6 +2,12 @@
 //! allocation, bounded per-channel admission queues, and the
 //! deficit-weighted round-robin scheduler that multiplexes admitted
 //! batches onto one [`ExecSession`] worker pool.
+//!
+//! Data is placed and stored on the [`PimServer`] before
+//! [`PimServer::open`]; the [`ServeSession`] it hands out only admits,
+//! dispatches and completes batches. Both allocation methods take one
+//! placement path: quota check, least-worn channel, then a charge of the
+//! rows actually placed.
 
 use crate::stats::{DispatchRecord, LatencyStats, ServeReport, TenantReport};
 use pinatubo_runtime::microcode::{self, CompileOptions, MicroProgram};
@@ -169,6 +175,25 @@ struct Tenant {
     latencies_ns: Vec<u64>,
 }
 
+impl Tenant {
+    /// The one quota check: counts a rejection and reports
+    /// [`ServeError::QuotaExceeded`] if `rows` more would exceed the
+    /// quota. Charging is left to the caller, once it knows the rows
+    /// really placed.
+    fn check_quota(&mut self, rows: u64) -> Result<(), ServeError> {
+        if self.rows_used + rows > self.row_quota {
+            self.quota_rejections += 1;
+            return Err(ServeError::QuotaExceeded {
+                tenant: self.name.clone(),
+                requested_rows: rows,
+                used_rows: self.rows_used,
+                quota_rows: self.row_quota,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Everything but the [`PimSystem`] — split out so a [`ServeSession`]
 /// can borrow it mutably alongside the session that borrows the system.
 #[derive(Debug)]
@@ -334,17 +359,12 @@ impl PimServer {
         len_bits: u64,
     ) -> Result<Vec<PimBitVec>, ServeError> {
         let rows_needed = count as u64 * len_bits.div_ceil(self.state.row_bits);
-        self.charge_quota(t, rows_needed)?;
-        let channel = pick_channel(&self.system.channel_wear(), &self.state.rows_on_channel);
-        let group = match self.system.alloc_group_on_channel(channel, count, len_bits) {
-            Ok(g) => g,
-            Err(e) => {
-                self.state.tenants[t.0].rows_used -= rows_needed;
-                return Err(e.into());
-            }
-        };
-        self.settle_placement(t, rows_needed, &group);
-        Ok(group)
+        self.place(
+            t,
+            rows_needed,
+            |sys, channel| sys.alloc_group_on_channel(channel, count, len_bits),
+            Vec::as_slice,
+        )
     }
 
     /// Quota-checked transposed allocation for µ-program operands (the
@@ -360,20 +380,12 @@ impl PimServer {
         width_bits: u32,
     ) -> Result<TransposedVec, ServeError> {
         let rows_needed = u64::from(width_bits) * lanes.div_ceil(self.state.row_bits);
-        self.charge_quota(t, rows_needed)?;
-        let channel = pick_channel(&self.system.channel_wear(), &self.state.rows_on_channel);
-        let vec = match self
-            .system
-            .alloc_transposed_on_channel(channel, lanes, width_bits)
-        {
-            Ok(v) => v,
-            Err(e) => {
-                self.state.tenants[t.0].rows_used -= rows_needed;
-                return Err(e.into());
-            }
-        };
-        self.settle_placement(t, rows_needed, vec.planes());
-        Ok(vec)
+        self.place(
+            t,
+            rows_needed,
+            |sys, channel| sys.alloc_transposed_on_channel(channel, lanes, width_bits),
+            TransposedVec::planes,
+        )
     }
 
     /// Compiles µ-programs for a tenant, charging the compiler's scratch
@@ -383,7 +395,8 @@ impl PimServer {
     /// # Errors
     ///
     /// [`ServeError::QuotaExceeded`] if the scratch would exceed the
-    /// quota (the scratch is released again); otherwise compile errors.
+    /// quota (the scratch is released again); otherwise compile errors
+    /// as [`ServeError::Runtime`] (a malformed batch charges nothing).
     pub fn compile(
         &mut self,
         t: TenantId,
@@ -395,17 +408,9 @@ impl PimServer {
         let batch = microcode::compile(programs, opts, &mut self.system)?;
         let scratch_rows = free_before - self.system.allocator().free_rows();
         let tenant = &mut self.state.tenants[t.0];
-        if tenant.rows_used + scratch_rows > tenant.row_quota {
-            tenant.quota_rejections += 1;
-            let (used_rows, quota_rows, name) =
-                (tenant.rows_used, tenant.row_quota, tenant.name.clone());
+        if let Err(e) = tenant.check_quota(scratch_rows) {
             batch.release(&mut self.system);
-            return Err(ServeError::QuotaExceeded {
-                tenant: name,
-                requested_rows: scratch_rows,
-                used_rows,
-                quota_rows,
-            });
+            return Err(e);
         }
         tenant.rows_used += scratch_rows;
         Ok(batch.requests().to_vec())
@@ -463,13 +468,6 @@ impl PimServer {
         &self.system
     }
 
-    /// Unwraps the server, returning the system with all served work
-    /// applied.
-    #[must_use]
-    pub fn into_system(self) -> PimSystem {
-        self.system
-    }
-
     /// The recorded setup stores, in order (serial-replay input).
     #[must_use]
     pub fn store_log(&self) -> &[(PimBitVec, Vec<bool>)] {
@@ -505,33 +503,29 @@ impl PimServer {
         }
     }
 
-    fn charge_quota(&mut self, t: TenantId, rows_needed: u64) -> Result<(), ServeError> {
-        let tenant = self.state.tenant_mut(t)?;
-        if tenant.rows_used + rows_needed > tenant.row_quota {
-            tenant.quota_rejections += 1;
-            return Err(ServeError::QuotaExceeded {
-                tenant: tenant.name.clone(),
-                requested_rows: rows_needed,
-                used_rows: tenant.rows_used,
-                quota_rows: tenant.row_quota,
-            });
-        }
-        tenant.rows_used += rows_needed;
-        Ok(())
-    }
-
-    fn settle_placement(&mut self, t: TenantId, rows_charged: u64, vecs: &[PimBitVec]) {
+    /// The one placement path behind [`PimServer::alloc_group`] and
+    /// [`PimServer::alloc_transposed`]: rejects before touching the
+    /// allocator if the `rows_needed` estimate would exceed the quota,
+    /// allocates on [`pick_channel`]'s choice, and charges the rows
+    /// actually placed (page alignment and subarray-straddle skips can
+    /// exceed the estimate).
+    fn place<T>(
+        &mut self,
+        t: TenantId,
+        rows_needed: u64,
+        alloc: impl FnOnce(&mut PimSystem, u32) -> Result<T, RuntimeError>,
+        planes: impl Fn(&T) -> &[PimBitVec],
+    ) -> Result<T, ServeError> {
+        self.state.tenant_mut(t)?.check_quota(rows_needed)?;
+        let channel = pick_channel(&self.system.channel_wear(), &self.state.rows_on_channel);
+        let placed = alloc(&mut self.system, channel)?;
         let mut actual = 0u64;
-        for v in vecs {
-            for r in v.rows() {
-                self.state.rows_on_channel[r.channel as usize] += 1;
-                actual += 1;
-            }
+        for r in planes(&placed).iter().flat_map(PimBitVec::rows) {
+            self.state.rows_on_channel[r.channel as usize] += 1;
+            actual += 1;
         }
-        // Groups can consume more rows than the len-based estimate
-        // (page alignment, subarray-straddle skips); charge the truth.
-        let tenant = &mut self.state.tenants[t.0];
-        tenant.rows_used = tenant.rows_used - rows_charged + actual;
+        self.state.tenants[t.0].rows_used += actual;
+        Ok(placed)
     }
 }
 
@@ -692,70 +686,10 @@ impl ServeSession<'_> {
         Ok(completed)
     }
 
-    /// Mid-serve quota-checked wear-aware allocation (the wear view lags
-    /// until the last completion sync — a deterministic point of the
-    /// schedule — so the choice is still deterministic).
-    ///
-    /// # Errors
-    ///
-    /// As [`PimServer::alloc_group`].
-    pub fn alloc_group(
-        &mut self,
-        t: TenantId,
-        count: usize,
-        len_bits: u64,
-    ) -> Result<Vec<PimBitVec>, ServeError> {
-        let rows_needed = count as u64 * len_bits.div_ceil(self.state.row_bits);
-        {
-            let tenant = self.state.tenant_mut(t)?;
-            if tenant.rows_used + rows_needed > tenant.row_quota {
-                tenant.quota_rejections += 1;
-                return Err(ServeError::QuotaExceeded {
-                    tenant: tenant.name.clone(),
-                    requested_rows: rows_needed,
-                    used_rows: tenant.rows_used,
-                    quota_rows: tenant.row_quota,
-                });
-            }
-        }
-        let wear = self.session.system().channel_wear();
-        let channel = pick_channel(&wear, &self.state.rows_on_channel);
-        let group = self
-            .session
-            .alloc_group_on_channel(channel, count, len_bits)?;
-        let mut actual = 0u64;
-        for v in &group {
-            for r in v.rows() {
-                self.state.rows_on_channel[r.channel as usize] += 1;
-                actual += 1;
-            }
-        }
-        self.state.tenants[t.0].rows_used += actual;
-        Ok(group)
-    }
-
-    /// Stores through the session (a sync point) and records the write
-    /// in the replay log.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecSession::store`].
-    pub fn store(&mut self, vec: &PimBitVec, bits: &[bool]) -> Result<(), ServeError> {
-        self.session.store(vec, bits)?;
-        self.state.store_log.push((vec.clone(), bits.to_vec()));
-        Ok(())
-    }
-
     /// Requests still admitted but not yet completed, across all tenants.
     #[must_use]
     pub fn backlog_requests(&self) -> usize {
         self.state.channel_depth.iter().sum()
-    }
-
-    /// Read-only view of the parent system (lags until the last sync).
-    #[must_use]
-    pub fn system(&self) -> &PimSystem {
-        self.session.system()
     }
 
     /// Drains every tenant FIFO (repeated [`ServeSession::advance`]

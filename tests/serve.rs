@@ -8,7 +8,9 @@ use pinatubo_core::{BitwiseOp, PinatuboConfig};
 use pinatubo_mem::{MemConfig, MemStats, ReliabilityConfig};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::yield_analysis::VariationModel;
+use pinatubo_runtime::microcode::{CompileOptions, MicroBatchError, MicroProgram};
 use pinatubo_runtime::scheduler::BatchRequest;
+use pinatubo_runtime::RuntimeError;
 use pinatubo_runtime::{MappingPolicy, PimBitVec, PimSystem};
 use pinatubo_serve::workload::{self, TenantSpec};
 use pinatubo_serve::{PimServer, ServeConfig, ServeError, ServeReport, TenantConfig, TenantKind};
@@ -254,6 +256,42 @@ fn quota_exceeded_rejects_and_releasing_rows_recovers() {
     server
         .alloc_group(t, 2, row_bits)
         .expect("freed quota is reusable");
+}
+
+#[test]
+fn rejected_compiles_and_allocations_charge_nothing() {
+    let mut server = PimServer::new(sys(MemConfig::pcm_default()), ServeConfig::default());
+    let t = server.register(TenantConfig {
+        name: "shapes".into(),
+        weight: 1,
+        row_quota: 64,
+    });
+    let a = server.alloc_transposed(t, 4096, 8).expect("a");
+    let dst = server.alloc_transposed(t, 4096, 8).expect("dst");
+    let before = server.report().tenants[0].clone();
+    let free_before = server.system().allocator().free_rows();
+    // Two programs writing one destination: rejected before any
+    // scratch row is allocated.
+    let programs = [
+        MicroProgram::add(&a, &a, &dst),
+        MicroProgram::sub(&a, &a, &dst),
+    ];
+    let err = server
+        .compile(t, &programs, CompileOptions::optimized())
+        .expect_err("duplicate destination");
+    assert!(matches!(
+        err,
+        ServeError::Runtime(RuntimeError::MicroBatch(
+            MicroBatchError::DuplicateDestination { program: 1, .. }
+        ))
+    ));
+    // An allocator failure after the quota check passed.
+    let err = server.alloc_group(t, 2, 0).expect_err("empty allocation");
+    assert_eq!(err, ServeError::Runtime(RuntimeError::EmptyAllocation));
+    let after = &server.report().tenants[0];
+    assert_eq!(after.rows_used, before.rows_used);
+    assert_eq!(after.quota_rejections, before.quota_rejections);
+    assert_eq!(server.system().allocator().free_rows(), free_before);
 }
 
 #[test]
