@@ -30,14 +30,14 @@
 //! $ cargo run --release -p pinatubo-bench --bin bench_bitserial -- --smoke
 //! ```
 //!
-//! `--smoke` runs the pinned shapes and asserts only correctness and the
-//! pinned compiler wins (fused bits == unfused bits == reference, fused
-//! requests and activations strictly drop on `shared`, and the
-//! activation cut meets the floor) — **no JSON output**, so CI runners
-//! can never overwrite the committed measurement.
+//! `--smoke` runs three pinned shapes and writes nothing. Both profiles
+//! assert correctness and the pinned compiler wins on every row (fused
+//! bits == unfused bits == reference, fused requests and activations
+//! strictly drop on `shared`, and the activation cut meets the floor).
 
 use pinatubo_baselines::simd::arith_reference;
 use pinatubo_baselines::SimdCpu;
+use pinatubo_bench::report::{self, Json, Profile};
 use pinatubo_core::rng::SimRng;
 use pinatubo_core::ArithOp;
 use pinatubo_runtime::microcode::{self, CompileOptions, MicroProgram, TransposedVec};
@@ -223,44 +223,37 @@ impl Measurement {
         }
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\n      \"kernel\": \"{}\",\n      \"width_bits\": {},\n      \
-             \"lanes\": {},\n      \"programs\": {},\n      \
-             \"unfused_requests\": {},\n      \"fused_requests\": {},\n      \
-             \"fused_live_gates\": {},\n      \"fused_scratch_planes\": {},\n      \
-             \"unfused_activations\": {},\n      \"fused_activations\": {},\n      \
-             \"activation_cut\": {:.4},\n      \"unfused_makespan_ns\": {:.3},\n      \
-             \"fused_makespan_ns\": {:.3},\n      \"makespan_cut\": {:.4},\n      \
-             \"pim_time_ns\": {:.3},\n      \"pim_energy_pj\": {:.3},\n      \
-             \"simd_time_ns\": {:.3},\n      \"simd_energy_pj\": {:.3},\n      \
-             \"simd_convert_time_ns\": {:.3},\n      \
-             \"simd_convert_energy_pj\": {:.3},\n      \
-             \"simd_total_time_ns\": {:.3},\n      \
-             \"simd_total_energy_pj\": {:.3}\n    }}",
-            self.kernel.name(),
-            self.width,
-            self.lanes,
-            self.kernel.ops().len(),
-            self.unfused.requests,
-            self.fused.requests,
-            self.fused.live_gates,
-            self.fused.scratch_planes,
-            self.unfused.activations,
-            self.fused.activations,
-            self.activation_cut(),
-            self.unfused.makespan_ns,
-            self.fused.makespan_ns,
-            self.makespan_cut(),
-            self.fused.pim_time_ns,
-            self.fused.pim_energy_pj,
-            self.simd_time_ns,
-            self.simd_energy_pj,
-            self.simd_convert_time_ns,
-            self.simd_convert_energy_pj,
-            self.simd_time_ns + self.simd_convert_time_ns,
-            self.simd_energy_pj + self.simd_convert_energy_pj,
-        )
+    fn row(&self) -> Json {
+        Json::obj([
+            ("kernel", self.kernel.name().into()),
+            ("width_bits", self.width.into()),
+            ("lanes", self.lanes.into()),
+            ("programs", self.kernel.ops().len().into()),
+            ("unfused_requests", self.unfused.requests.into()),
+            ("fused_requests", self.fused.requests.into()),
+            ("fused_live_gates", self.fused.live_gates.into()),
+            ("fused_scratch_planes", self.fused.scratch_planes.into()),
+            ("unfused_activations", self.unfused.activations.into()),
+            ("fused_activations", self.fused.activations.into()),
+            ("activation_cut", self.activation_cut().into()),
+            ("unfused_makespan_ns", self.unfused.makespan_ns.into()),
+            ("fused_makespan_ns", self.fused.makespan_ns.into()),
+            ("makespan_cut", self.makespan_cut().into()),
+            ("pim_time_ns", self.fused.pim_time_ns.into()),
+            ("pim_energy_pj", self.fused.pim_energy_pj.into()),
+            ("simd_time_ns", self.simd_time_ns.into()),
+            ("simd_energy_pj", self.simd_energy_pj.into()),
+            ("simd_convert_time_ns", self.simd_convert_time_ns.into()),
+            ("simd_convert_energy_pj", self.simd_convert_energy_pj.into()),
+            (
+                "simd_total_time_ns",
+                (self.simd_time_ns + self.simd_convert_time_ns).into(),
+            ),
+            (
+                "simd_total_energy_pj",
+                (self.simd_energy_pj + self.simd_convert_energy_pj).into(),
+            ),
+        ])
     }
 }
 
@@ -371,57 +364,53 @@ fn print_row(m: &Measurement) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let profile = Profile::from_args();
+    let shapes = profile.pick(
+        vec![
+            (Kernel::Shared, 16, 2048),
+            (Kernel::Add, 8, 1024),
+            (Kernel::CmpGe, 32, 1024),
+        ],
+        [Kernel::Add, Kernel::CmpGe, Kernel::Max, Kernel::Shared]
+            .into_iter()
+            .flat_map(|kernel| {
+                [8u32, 16, 32].into_iter().flat_map(move |width| {
+                    [1024usize, 16384]
+                        .into_iter()
+                        .map(move |lanes| (kernel, width, lanes))
+                })
+            })
+            .collect(),
+    );
 
-    if smoke {
-        for m in [
-            measure(Kernel::Shared, 16, 2048),
-            measure(Kernel::Add, 8, 1024),
-            measure(Kernel::CmpGe, 32, 1024),
-        ] {
-            check(&m);
-            print_row(&m);
-        }
-        println!("smoke OK (correctness only; no BENCH_bitserial.json written)");
-        return;
-    }
-
-    let mut rows = Vec::new();
-    for kernel in [Kernel::Add, Kernel::CmpGe, Kernel::Max, Kernel::Shared] {
-        for width in [8u32, 16, 32] {
-            for lanes in [1024usize, 16384] {
-                rows.push(measure(kernel, width, lanes));
-            }
-        }
-    }
     println!("# Bit-serial µ-programs: fused vs unfused, PIM vs SIMD");
+    let rows: Vec<Measurement> = shapes
+        .into_iter()
+        .map(|(kernel, width, lanes)| measure(kernel, width, lanes))
+        .collect();
     for m in &rows {
         check(m);
         print_row(m);
     }
 
-    let json = format!(
-        "{{\n  \"definition\": \"Each row compiles the kernel's µ-programs over \
-         identical bit-transposed operands twice: unfused (no CSE, no gate \
-         fusion) and fused (hash-consed CSE + same-op fusion + scratch \
-         liveness). Both runs are verified bit-identical to the scalar \
-         reference. activation_cut = 1 - fused_activations / \
-         unfused_activations; makespan is the command-interleaved channel \
-         model's. The shared kernel (Sub+CmpGe+CmpLt+Min over one operand \
-         pair) is the pinned shared-subexpression shape. SIMD columns price \
-         the same kernel on the 4-core packed-integer host attached to PCM; \
-         simd_convert_* adds the bit-plane <-> lane-major layout conversion \
-         the host pays because the data's canonical layout is the \
-         bit-transposed one PIM computes on in place (two input gathers + \
-         one scatter per result, masks one plane wide), and simd_total_* \
-         sums both. All quantities are deterministic model time, not wall \
-         clock.\",\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        rows.iter()
-            .map(Measurement::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
+    report::finish(
+        profile,
+        "bitserial",
+        "Each row compiles the kernel's µ-programs over identical \
+         bit-transposed operands twice: unfused (no CSE, no gate fusion) and \
+         fused (hash-consed CSE + same-op fusion + scratch liveness). Both \
+         runs are verified bit-identical to the scalar reference. \
+         activation_cut = 1 - fused_activations / unfused_activations; \
+         makespan is the command-interleaved channel model's. The shared \
+         kernel (Sub+CmpGe+CmpLt+Min over one operand pair) is the pinned \
+         shared-subexpression shape. SIMD columns price the same kernel on \
+         the 4-core packed-integer host attached to PCM; simd_convert_* adds \
+         the bit-plane <-> lane-major layout conversion the host pays \
+         because the data's canonical layout is the bit-transposed one PIM \
+         computes on in place (two input gathers + one scatter per result, \
+         masks one plane wide), and simd_total_* sums both. All quantities \
+         are deterministic model time, not wall clock.",
+        Vec::new(),
+        rows.iter().map(Measurement::row).collect(),
     );
-    std::fs::write("BENCH_bitserial.json", &json).expect("write BENCH_bitserial.json");
-    println!("wrote BENCH_bitserial.json");
 }

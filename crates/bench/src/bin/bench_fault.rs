@@ -8,8 +8,7 @@
 //! draws are counter-keyed pure functions of position, the two paths must
 //! produce bit-identical outputs, identical stored rows and identical
 //! reliability ledgers; this binary asserts all three and reports the
-//! wall-clock ratio. The full profile writes its results machine-readably
-//! to `BENCH_fault.json`.
+//! wall-clock ratio. The full profile writes `BENCH_fault.json`.
 //!
 //! ```console
 //! $ cargo run --release -p pinatubo-bench --bin bench_fault
@@ -18,7 +17,7 @@
 //!
 //! `--smoke` shrinks the width, asserts only the equivalence properties —
 //! no wall-clock thresholds, so it is safe for shared CI runners — and
-//! writes no JSON. The full profile additionally asserts the packed path
+//! writes nothing. The full profile additionally asserts the packed path
 //! is at least 20x faster on the 2^19-bit fan-in-4 OR sense burst.
 //!
 //! Both profiles also run the ladder-vs-ECC protection comparison
@@ -29,6 +28,7 @@
 //! SEC-DED's measured latency/energy overhead.
 
 use pinatubo_bench::protection::{print_comparison, protection_comparison, ProtectionRun};
+use pinatubo_bench::report::{self, Json, Profile};
 use pinatubo_mem::{MainMemory, MemConfig, ReliabilityConfig, RowAddr, RowData};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::sense_amp::SenseMode;
@@ -122,12 +122,8 @@ fn run(reference_fault_path: bool, cols: u64, senses: u64, writes: u64) -> Run {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (cols, senses, writes) = if smoke {
-        (1u64 << 12, 2, 2)
-    } else {
-        (1u64 << 19, 4, 2)
-    };
+    let profile = Profile::from_args();
+    let (cols, senses, writes) = profile.pick((1u64 << 12, 2, 2), (1u64 << 19, 4, 2));
 
     let packed = run(false, cols, senses, writes);
     let reference = run(true, cols, senses, writes);
@@ -177,7 +173,7 @@ fn main() {
         packed.reliability.injected_bit_errors > 0 || packed.reliability.injected_write_faults > 0,
         "the scenario must actually inject faults to be a meaningful check"
     );
-    if !smoke {
+    if profile == Profile::Full {
         assert!(
             sense_speedup >= 20.0,
             "packed sense path must be at least 20x faster (measured {sense_speedup:.1}x)"
@@ -190,11 +186,7 @@ fn main() {
     // corrects in place and double-flip words it must refuse — while
     // staying below the 3-flips-per-word regime that exceeds any
     // distance-4 code.
-    let (prot_rows, prot_bits, p_stuck) = if smoke {
-        (512, 512, 1e-3)
-    } else {
-        (1024, 2048, 5e-4)
-    };
+    let (prot_rows, prot_bits, p_stuck) = profile.pick((512, 512, 1e-3), (1024, 2048, 5e-4));
     let protection = protection_comparison(prot_rows, prot_bits, SEED, p_stuck);
     println!();
     print_comparison(&protection);
@@ -217,64 +209,69 @@ fn main() {
         p_secded.reliability.ecc_corrected_bits > 0,
         "the scenario must exercise in-place correction"
     );
-    if smoke {
-        println!("\nsmoke OK (correctness only; no BENCH_fault.json written)");
-        return;
-    }
 
-    let mode_json = |run: &ProtectionRun| {
-        format!(
-            "{{\n      \"time_ns\": {:.1}, \"energy_pj\": {:.1}, \"ecc_ns\": {:.1}, \
-             \"ecc_pj\": {:.1},\n      \"explicit_read_failures\": {}, \
-             \"silent_wrong_bits\": {}, \"wrong_accepted_rows\": {},\n      \
-             \"ecc_corrected_bits\": {}, \"ecc_detected_double\": {}, \
-             \"sense_retries\": {}\n    }}",
-            run.time_ns,
-            run.energy_pj,
-            run.ecc_ns,
-            run.ecc_pj,
-            run.explicit_read_failures,
-            run.reliability.silent_wrong_bits,
-            run.wrong_accepted_rows,
-            run.reliability.ecc_corrected_bits,
-            run.reliability.ecc_detected_double,
-            run.reliability.sense_retries,
-        )
+    let mode = |run: &ProtectionRun| {
+        let r = &run.reliability;
+        Json::obj([
+            ("time_ns", run.time_ns.into()),
+            ("energy_pj", run.energy_pj.into()),
+            ("ecc_ns", run.ecc_ns.into()),
+            ("ecc_pj", run.ecc_pj.into()),
+            ("explicit_read_failures", run.explicit_read_failures.into()),
+            ("silent_wrong_bits", r.silent_wrong_bits.into()),
+            ("wrong_accepted_rows", run.wrong_accepted_rows.into()),
+            ("ecc_corrected_bits", r.ecc_corrected_bits.into()),
+            ("ecc_detected_double", r.ecc_detected_double.into()),
+            ("sense_retries", r.sense_retries.into()),
+        ])
     };
-    let protection_json = format!(
-        "{{\n    \"rows\": {}, \"row_bits\": {},\n    \"none\": {},\n    \
-         \"secded\": {},\n    \
-         \"secded_time_overhead_vs_none\": {:.4},\n    \
-         \"secded_energy_overhead_vs_none\": {:.4}\n  }}",
-        prot_rows,
-        prot_bits,
-        mode_json(p_none),
-        mode_json(p_secded),
-        p_secded.time_ns / p_none.time_ns - 1.0,
-        p_secded.energy_pj / p_none.energy_pj - 1.0,
+    let protection = Json::obj([
+        ("rows", prot_rows.into()),
+        ("row_bits", prot_bits.into()),
+        ("none", mode(p_none)),
+        ("secded", mode(p_secded)),
+        (
+            "secded_time_overhead_vs_none",
+            (p_secded.time_ns / p_none.time_ns - 1.0).into(),
+        ),
+        (
+            "secded_energy_overhead_vs_none",
+            (p_secded.energy_pj / p_none.energy_pj - 1.0).into(),
+        ),
+    ]);
+    let burst = |name: &str, packed_ms: f64, reference_ms: f64| {
+        Json::obj([
+            ("burst", name.into()),
+            ("packed_ms", packed_ms.into()),
+            ("reference_ms", reference_ms.into()),
+            ("speedup", (reference_ms / packed_ms).into()),
+        ])
+    };
+    println!();
+    report::finish(
+        profile,
+        "fault",
+        "Each row is one burst of an identical fault-injected command \
+         sequence (fan_in-row OR senses, then full-width writes; every fault \
+         mechanism on) run on the word-packed and the per-cell reference \
+         fault paths: packed_ms and reference_ms are host wall clock, \
+         speedup is their ratio. outputs_identical and ledgers_identical \
+         compare the two paths' outputs, stored rows and reliability \
+         ledgers. protection reads identical stuck-at corruption back with \
+         no protection and under (72,64) SEC-DED: modeled time and energy, \
+         read outcomes and ledger per mode.",
+        vec![
+            ("bits_per_row", cols.into()),
+            ("fan_in", FAN_IN.into()),
+            ("senses", senses.into()),
+            ("writes", writes.into()),
+            ("outputs_identical", outputs_identical.into()),
+            ("ledgers_identical", ledgers_identical.into()),
+            ("protection", protection),
+        ],
+        vec![
+            burst("sense", packed.sense_ms, reference.sense_ms),
+            burst("write", packed.write_ms, reference.write_ms),
+        ],
     );
-
-    let json = format!(
-        "{{\n  \"bits_per_row\": {},\n  \"fan_in\": {},\n  \"senses\": {},\n  \
-         \"writes\": {},\n  \"packed_sense_ms\": {:.3},\n  \
-         \"reference_sense_ms\": {:.3},\n  \"sense_speedup\": {:.1},\n  \
-         \"packed_write_ms\": {:.3},\n  \"reference_write_ms\": {:.3},\n  \
-         \"write_speedup\": {:.1},\n  \"outputs_identical\": {},\n  \
-         \"ledgers_identical\": {},\n  \"protection\": {}\n}}\n",
-        cols,
-        FAN_IN,
-        senses,
-        writes,
-        packed.sense_ms,
-        reference.sense_ms,
-        sense_speedup,
-        packed.write_ms,
-        reference.write_ms,
-        write_speedup,
-        outputs_identical,
-        ledgers_identical,
-        protection_json,
-    );
-    std::fs::write("BENCH_fault.json", &json).expect("write BENCH_fault.json");
-    println!("\nwrote BENCH_fault.json");
 }

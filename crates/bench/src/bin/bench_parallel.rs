@@ -11,74 +11,29 @@
 //! The headline `wall_speedup` is **serial / pooled**. It is bounded by
 //! the host's core count: on a single-core host it cannot exceed 1 for
 //! compute-bound batches, since thread parallelism has no cores to run on
-//! (see `host_cores` in the output). The modeled makespan column is the
+//! (see `host.cores` in the output). The modeled makespan column is the
 //! scheduler's channel- and bank-parallel account of the same batch.
 //!
-//! The sweep covers three batch sizes x worker counts 1/2/4 and writes
-//! machine-readable rows to `BENCH_parallel.json`.
+//! The full profile sweeps three batch sizes x worker counts 1/2/4, best
+//! of nine per executor, and writes `BENCH_parallel.json`.
 //!
 //! ```console
 //! $ cargo run --release -p pinatubo-bench --bin bench_parallel
 //! $ cargo run --release -p pinatubo-bench --bin bench_parallel -- --smoke
 //! ```
 //!
-//! `--smoke` runs a small configuration through both paths and
-//! asserts only the correctness properties (identical result bits,
-//! consistent merged ledgers, modeled makespan no worse than serial,
-//! and `open_session` + syncs on a pre-populated memory copying
-//! O(channels + touched pages) row pages — the copy-on-write guard) —
-//! no wall-clock thresholds and **no JSON output**, so CI runners can
-//! never overwrite the committed measurement with noise.
+//! `--smoke` runs one small configuration once on two pool sizes. Both
+//! profiles assert only correctness on every iteration (identical result
+//! bits, consistent merged ledgers, modeled makespan no worse than
+//! serial, and `open_session` + syncs on a pre-populated memory copying
+//! O(channels + touched pages) row pages — the copy-on-write guard),
+//! never a wall-clock threshold.
 
-use pinatubo_core::{BitwiseOp, PinatuboConfig};
+use pinatubo_bench::report::{self, Json, Profile};
+use pinatubo_bench::{rotated_sys, uniform_batch};
 use pinatubo_mem::{MemConfig, ROWS_PER_PAGE};
-use pinatubo_runtime::{BatchRequest, MappingPolicy, PimBitVec, PimSystem, ScheduleReport};
+use pinatubo_runtime::ScheduleReport;
 use std::time::Instant;
-
-fn sys() -> PimSystem {
-    let mut s = PimSystem::new(
-        MemConfig::pcm_default(),
-        PinatuboConfig::default(),
-        MappingPolicy::ChannelRotate,
-    );
-    // Page-align allocation groups so a request's destination never
-    // shares a copy-on-write page with a neighbouring group's operands:
-    // a session shard's first write then copies only the group's own
-    // pages instead of dragging cold foreign rows through the copy.
-    s.set_page_aligned_groups(true);
-    s
-}
-
-/// Builds `count` independent `k`-operand OR/AND/XOR requests over
-/// `bits`-bit vectors. Channel-rotate placement keeps every request on one
-/// channel and spreads consecutive requests round-robin over all four, so
-/// the batch is maximally shardable.
-fn build_batch(
-    s: &mut PimSystem,
-    count: usize,
-    k: usize,
-    bits: u64,
-) -> (Vec<BatchRequest>, Vec<PimBitVec>) {
-    let ops = [BitwiseOp::Or, BitwiseOp::And, BitwiseOp::Xor];
-    let mut requests = Vec::with_capacity(count);
-    let mut dsts = Vec::with_capacity(count);
-    for g in 0..count {
-        let group = s.alloc_group(k + 1, bits).expect("allocation fits");
-        for (v, salt) in group[..k].iter().zip(1u64..) {
-            let pattern: Vec<bool> = (0..bits)
-                .map(|i| (i.wrapping_mul(2654435761).wrapping_add(salt * g as u64)) & 4 != 0)
-                .collect();
-            s.store(v, &pattern).expect("store");
-        }
-        dsts.push(group[k].clone());
-        requests.push(BatchRequest {
-            op: ops[g % ops.len()],
-            operands: group[..k].to_vec(),
-            dst: group[k].clone(),
-        });
-    }
-    (requests, dsts)
-}
 
 #[derive(Clone, Copy)]
 struct Scenario {
@@ -115,40 +70,37 @@ impl Measurement {
         self.report.serial_time_ns / self.report.makespan_ns
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"requests\": {},\n      \
-             \"operands_per_request\": {},\n      \"bits_per_vector\": {},\n      \
-             \"rounds\": {},\n      \"channels\": {},\n      \"workers\": {},\n      \
-             \"serial_wall_ms\": {:.3},\n      \
-             \"pooled_wall_ms\": {:.3},\n      \"wall_speedup\": {:.3},\n      \
-             \"modeled_serial_us\": {:.3},\n      \
-             \"modeled_makespan_us\": {:.3},\n      \"modeled_speedup\": {:.3},\n      \
-             \"pooled_pages_copied\": {},\n      \
-             \"bits_identical\": {},\n      \"ledger_consistent\": {}\n    }}",
-            self.scenario.name,
-            self.scenario.count,
-            self.scenario.k,
-            self.scenario.bits,
-            self.scenario.rounds,
-            self.channels,
-            self.workers,
-            self.serial_wall_ms,
-            self.pooled_wall_ms,
-            self.wall_speedup(),
-            self.report.serial_time_ns / 1000.0,
-            self.report.makespan_ns / 1000.0,
-            self.modeled_speedup(),
-            self.pooled_pages_copied,
-            self.bits_identical,
-            self.ledger_consistent,
-        )
+    fn row(&self) -> Json {
+        Json::obj([
+            ("scenario", self.scenario.name.into()),
+            ("requests", self.scenario.count.into()),
+            ("operands_per_request", self.scenario.k.into()),
+            ("bits_per_vector", self.scenario.bits.into()),
+            ("rounds", self.scenario.rounds.into()),
+            ("channels", self.channels.into()),
+            ("workers", self.workers.into()),
+            ("serial_wall_ms", self.serial_wall_ms.into()),
+            ("pooled_wall_ms", self.pooled_wall_ms.into()),
+            ("wall_speedup", self.wall_speedup().into()),
+            (
+                "modeled_serial_us",
+                (self.report.serial_time_ns / 1000.0).into(),
+            ),
+            (
+                "modeled_makespan_us",
+                (self.report.makespan_ns / 1000.0).into(),
+            ),
+            ("modeled_speedup", self.modeled_speedup().into()),
+            ("pooled_pages_copied", self.pooled_pages_copied.into()),
+            ("bits_identical", self.bits_identical.into()),
+            ("ledger_consistent", self.ledger_consistent.into()),
+        ])
     }
 }
 
 fn run_serial(scenario: Scenario) -> (f64, ScheduleReport, Vec<Vec<bool>>) {
-    let mut serial = sys();
-    let (batch, outs) = build_batch(&mut serial, scenario.count, scenario.k, scenario.bits);
+    let mut serial = rotated_sys();
+    let batch = uniform_batch(&mut serial, scenario.count, scenario.k, scenario.bits);
     let t0 = Instant::now();
     let mut report = None;
     for _ in 0..scenario.rounds {
@@ -158,13 +110,13 @@ fn run_serial(scenario: Scenario) -> (f64, ScheduleReport, Vec<Vec<bool>>) {
     (
         wall_ms,
         report.expect("at least one round"),
-        outs.iter().map(|v| serial.load(v)).collect(),
+        batch.iter().map(|r| serial.load(&r.dst)).collect(),
     )
 }
 
 fn run_pooled(scenario: Scenario, workers: usize) -> (f64, Vec<Vec<bool>>, bool, u64) {
-    let mut pooled = sys();
-    let (batch, outs) = build_batch(&mut pooled, scenario.count, scenario.k, scenario.bits);
+    let mut pooled = rotated_sys();
+    let batch = uniform_batch(&mut pooled, scenario.count, scenario.k, scenario.bits);
     let batch = std::sync::Arc::new(batch);
     let t0 = Instant::now();
     let mut session = pooled.open_session_with_workers(workers);
@@ -175,7 +127,7 @@ fn run_pooled(scenario: Scenario, workers: usize) -> (f64, Vec<Vec<bool>>, bool,
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     (
         wall_ms,
-        outs.iter().map(|v| pooled.load(v)).collect(),
+        batch.iter().map(|r| pooled.load(&r.dst)).collect(),
         pooled.stats().reliability.is_consistent(),
         pooled.stats().row_pages_copied,
     )
@@ -273,73 +225,35 @@ fn print_row(m: &Measurement) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let profile = Profile::from_args();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    if smoke {
-        // Correctness only, through both paths, on two pool sizes. No
-        // JSON: the committed BENCH_parallel.json holds the full-profile
-        // measurement and CI must never clobber it with shared-runner
-        // noise.
-        let scenario = Scenario {
-            name: "smoke",
-            count: 24,
-            k: 4,
-            bits: 1 << 14,
-            rounds: 2,
-        };
-        for workers in [1usize, 2] {
-            let m = measure(scenario, workers, false);
-            check(&m);
-            print_row(&m);
-        }
-        println!("smoke OK (correctness only; no BENCH_parallel.json written)");
-        return;
-    }
-
-    let scenarios = [
-        Scenario {
-            name: "small",
-            count: 24,
-            k: 4,
-            bits: 1 << 14,
-            rounds: 8,
-        },
-        Scenario {
-            name: "medium",
-            count: 48,
-            k: 6,
-            bits: 1 << 16,
-            rounds: 4,
-        },
-        Scenario {
-            name: "large",
-            count: 96,
-            k: 8,
-            bits: 1 << 18,
-            rounds: 2,
-        },
-    ];
+    let make = |name, count, k, bits, rounds| Scenario {
+        name,
+        count,
+        k,
+        bits,
+        rounds,
+    };
+    let scenarios = profile.pick(
+        vec![make("smoke", 24, 4, 1 << 14, 2)],
+        vec![
+            make("small", 24, 4, 1 << 14, 8),
+            make("medium", 48, 6, 1 << 16, 4),
+            make("large", 96, 8, 1 << 18, 2),
+        ],
+    );
+    let worker_counts = profile.pick(&[1usize, 2][..], &[1, 2, 4]);
+    let reps = profile.pick(1, 9);
 
     // Warm the allocator/page-cache paths so the first measurement does
     // not absorb one-time costs the later ones skip.
-    let _ = measure(
-        Scenario {
-            name: "warmup",
-            count: 8,
-            k: 2,
-            bits: 1 << 12,
-            rounds: 1,
-        },
-        2,
-        false,
-    );
+    let _ = measure(make("warmup", 8, 2, 1 << 12, 1), 2, false);
 
     println!("# Persistent pool vs serial ({host_cores} host cores)");
     let mut rows = Vec::new();
     for scenario in scenarios {
-        for workers in [1usize, 2, 4] {
-            // Per-executor best-of-9, executor order alternating between
+        for &workers in worker_counts {
+            // Per-executor best-of-reps, executor order alternating between
             // iterations: shared runners preempt whole quanta, which
             // shows up as multi-x outliers. Each executor's wall time is
             // measured independently, so the minimum per executor is the
@@ -347,7 +261,7 @@ fn main() {
             // iteration instead would let one executor's unlucky quantum
             // distort the ratio, and a fixed order would let slow drift
             // systematically favour one side.
-            let mut iters: Vec<Measurement> = (0..9)
+            let mut iters: Vec<Measurement> = (0..reps)
                 .map(|i| measure(scenario, workers, i % 2 == 1))
                 .collect();
             for m in &iters {
@@ -356,7 +270,7 @@ fn main() {
             let min_of = |f: fn(&Measurement) -> f64| iters.iter().map(f).fold(f64::MAX, f64::min);
             let serial = min_of(|m| m.serial_wall_ms);
             let pooled = min_of(|m| m.pooled_wall_ms);
-            let mut m = iters.pop().expect("nine iterations");
+            let mut m = iters.pop().expect("at least one iteration");
             m.serial_wall_ms = serial;
             m.pooled_wall_ms = pooled;
             print_row(&m);
@@ -370,20 +284,16 @@ fn main() {
         .fold(f64::MIN, f64::max);
     println!("\nbest pooled-vs-serial wall speedup: {best:.2}x");
 
-    let json = format!(
-        "{{\n  \"host_cores\": {},\n  \"wall_speedup_definition\": \
-         \"serial_wall_ms / pooled_wall_ms: the persistent session at the \
-         given worker count vs execute_batch_serial on the same stream. \
-         Bounded by host_cores: with one core the worker threads have no \
-         spare core to run on. modeled_speedup is the scheduler's modeled \
-         serial stream over the channel- and bank-parallel makespan.\",\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        host_cores,
-        rows.iter()
-            .map(Measurement::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
+    report::finish(
+        profile,
+        "parallel",
+        "wall_speedup is serial_wall_ms / pooled_wall_ms: the persistent \
+         session at the given worker count vs execute_batch_serial on the \
+         same stream, each the best of nine. Bounded by host.cores: with \
+         one core the worker threads have no spare core to run on. \
+         modeled_speedup is the scheduler's modeled serial stream over the \
+         channel- and bank-parallel makespan.",
+        Vec::new(),
+        rows.iter().map(Measurement::row).collect(),
     );
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-    println!("wrote BENCH_parallel.json");
 }

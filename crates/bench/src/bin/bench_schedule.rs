@@ -44,15 +44,16 @@
 //! $ cargo run --release -p pinatubo-bench --bin bench_schedule -- --smoke
 //! ```
 //!
-//! `--smoke` runs the small and adversarial shapes and asserts only the
-//! correctness properties (result bits identical to serial execution,
-//! interleaved ≤ request-granularity everywhere, lookahead ≤ greedy
-//! everywhere, and the pinned wins on `mixed_fan_in`) — **no JSON
-//! output**, so CI runners can never overwrite the committed measurement.
+//! `--smoke` drops the medium and large uniform shapes and writes nothing.
+//! Both profiles assert the correctness properties on every shape (result
+//! bits identical to serial execution, interleaved ≤ request-granularity,
+//! lookahead ≤ greedy) and the pinned adversarial wins.
 
-use pinatubo_core::{BitwiseOp, PinatuboConfig};
+use pinatubo_bench::report::{self, Json, Profile};
+use pinatubo_bench::{rotated_sys, store_pattern, uniform_batch};
+use pinatubo_core::BitwiseOp;
 use pinatubo_mem::MemConfig;
-use pinatubo_runtime::{BatchRequest, MappingPolicy, PimBitVec, PimSystem, ScheduleReport};
+use pinatubo_runtime::{BatchRequest, PimBitVec, PimSystem, ScheduleReport};
 
 /// Minimum fraction of the request-granularity makespan the interleaved
 /// placement must recover on the `mixed_fan_in` shape. The shape is
@@ -67,43 +68,6 @@ const MIXED_MIN_LOOKAHEAD_WIN: f64 = 0.02;
 const BUS_HOG_MIN_TIGHTENING: f64 = 0.15;
 /// Lookahead-win pin for the `fanin_trap` shape (measured 33.2%).
 const TRAP_MIN_LOOKAHEAD_WIN: f64 = 0.25;
-
-fn sys() -> PimSystem {
-    let mut s = PimSystem::new(
-        MemConfig::pcm_default(),
-        PinatuboConfig::default(),
-        MappingPolicy::ChannelRotate,
-    );
-    s.set_page_aligned_groups(true);
-    s
-}
-
-fn store_pattern(s: &mut PimSystem, v: &PimBitVec, bits: u64, salt: u64) {
-    let pattern: Vec<bool> = (0..bits)
-        .map(|i| (i.wrapping_mul(2654435761).wrapping_add(salt)) & 4 != 0)
-        .collect();
-    s.store(v, &pattern).expect("store");
-}
-
-/// `count` independent `k`-operand requests over `bits`-bit vectors,
-/// channel-rotated so consecutive requests land on different channels
-/// (the same shape bench_parallel uses).
-fn build_uniform(s: &mut PimSystem, count: usize, k: usize, bits: u64) -> Vec<BatchRequest> {
-    let ops = [BitwiseOp::Or, BitwiseOp::And, BitwiseOp::Xor];
-    let mut requests = Vec::with_capacity(count);
-    for g in 0..count {
-        let group = s.alloc_group(k + 1, bits).expect("allocation fits");
-        for (j, v) in group[..k].iter().enumerate() {
-            store_pattern(s, v, bits, g as u64 * 31 + j as u64);
-        }
-        requests.push(BatchRequest {
-            op: ops[g % ops.len()],
-            operands: group[..k].to_vec(),
-            dst: group[k].clone(),
-        });
-    }
-    requests
-}
 
 /// Bits per adversarial vector: one sense pass and a 40 ns DDR burst, so
 /// every request's shape is set by its fan-in and class, not its width.
@@ -154,31 +118,7 @@ fn build_bus_hog(s: &mut PimSystem) -> Vec<BatchRequest> {
         skip_rotation(s);
         skip_rotation(s);
     }
-
-    let mut requests = Vec::new();
-    let mut operands: Vec<PimBitVec> = Vec::with_capacity(8);
-    operands.extend_from_slice(&home[..2]);
-    operands.extend_from_slice(&r2);
-    operands.extend_from_slice(&r3);
-    for (j, v) in operands.iter().enumerate() {
-        store_pattern(s, v, ADV_BITS, 300 + j as u64);
-    }
-    requests.push(BatchRequest {
-        op: BitwiseOp::Xor,
-        operands,
-        dst: home[2].clone(),
-    });
-    for (c, chain) in chains.iter().enumerate() {
-        for (j, v) in chain[..8].iter().enumerate() {
-            store_pattern(s, v, ADV_BITS, 400 + c as u64 * 13 + j as u64);
-        }
-        requests.push(BatchRequest {
-            op: BitwiseOp::Xor,
-            operands: chain[..8].to_vec(),
-            dst: chain[8].clone(),
-        });
-    }
-    requests
+    hog_requests(s, &home, &[r2, r3].concat(), &chains)
 }
 
 /// The **issue-cursor trap**: three short 3-operand XOR requests stacked
@@ -195,27 +135,7 @@ fn build_fanin_trap(s: &mut PimSystem) -> Vec<BatchRequest> {
     skip_rotation(s);
     skip_bank(s);
     let gtb = s.alloc_group(7, ADV_BITS).expect("trap long");
-
-    let mut requests = Vec::new();
-    for (a, trap) in gta.chunks(4).enumerate() {
-        for (j, v) in trap[..3].iter().enumerate() {
-            store_pattern(s, v, ADV_BITS, 100 + a as u64 * 7 + j as u64);
-        }
-        requests.push(BatchRequest {
-            op: BitwiseOp::Xor,
-            operands: trap[..3].to_vec(),
-            dst: trap[3].clone(),
-        });
-    }
-    for (j, v) in gtb[..6].iter().enumerate() {
-        store_pattern(s, v, ADV_BITS, 200 + j as u64);
-    }
-    requests.push(BatchRequest {
-        op: BitwiseOp::Xor,
-        operands: gtb[..6].to_vec(),
-        dst: gtb[6].clone(),
-    });
-    requests
+    trap_requests(s, &gta, &gtb)
 }
 
 /// The pinned adversarial batch: the channel-0 bus hog and rank-1 lane
@@ -246,48 +166,56 @@ fn build_mixed_fan_in(s: &mut PimSystem) -> Vec<BatchRequest> {
     skip_bank(s);
     let chain_b = s.alloc_group(9, ADV_BITS).expect("lane chain b");
 
-    let mut requests = Vec::new();
-    for (a, trap) in gta.chunks(4).enumerate() {
-        for (j, v) in trap[..3].iter().enumerate() {
-            store_pattern(s, v, ADV_BITS, 100 + a as u64 * 7 + j as u64);
-        }
-        requests.push(BatchRequest {
-            op: BitwiseOp::Xor,
-            operands: trap[..3].to_vec(),
-            dst: trap[3].clone(),
-        });
-    }
-    for (j, v) in gtb[..6].iter().enumerate() {
-        store_pattern(s, v, ADV_BITS, 200 + j as u64);
-    }
-    requests.push(BatchRequest {
-        op: BitwiseOp::Xor,
-        operands: gtb[..6].to_vec(),
-        dst: gtb[6].clone(),
-    });
-    let mut operands: Vec<PimBitVec> = Vec::with_capacity(8);
-    operands.extend_from_slice(&gh0[..2]);
-    operands.extend_from_slice(&go2);
-    operands.extend_from_slice(&go3);
-    for (j, v) in operands.iter().enumerate() {
-        store_pattern(s, v, ADV_BITS, 300 + j as u64);
-    }
-    requests.push(BatchRequest {
-        op: BitwiseOp::Xor,
-        operands,
-        dst: gh0[2].clone(),
-    });
-    for (c, chain) in [&chain_a, &chain_b].into_iter().enumerate() {
-        for (j, v) in chain[..8].iter().enumerate() {
-            store_pattern(s, v, ADV_BITS, 400 + c as u64 * 13 + j as u64);
-        }
-        requests.push(BatchRequest {
-            op: BitwiseOp::Xor,
-            operands: chain[..8].to_vec(),
-            dst: chain[8].clone(),
-        });
+    let mut requests = trap_requests(s, &gta, &gtb);
+    let remote = [go2, go3].concat();
+    requests.extend(hog_requests(s, &gh0, &remote, &[chain_a, chain_b]));
+    requests
+}
+
+/// The hog's requests: one 8-operand XOR of `home[..2]` and `remote` into
+/// `home[2]`, then one XOR chain per group of `chains`.
+fn hog_requests(
+    s: &mut PimSystem,
+    home: &[PimBitVec],
+    remote: &[PimBitVec],
+    chains: &[Vec<PimBitVec>],
+) -> Vec<BatchRequest> {
+    let operands = [&home[..2], remote].concat();
+    let mut requests = vec![xor_into(s, &operands, &home[2], 300)];
+    for (c, chain) in chains.iter().enumerate() {
+        requests.push(xor_group(s, chain, 400 + c as u64 * 13));
     }
     requests
+}
+
+/// The trap's requests: three short XORs over the 4-vector chunks of
+/// `stack`, then the long XOR over `long`.
+fn trap_requests(s: &mut PimSystem, stack: &[PimBitVec], long: &[PimBitVec]) -> Vec<BatchRequest> {
+    let mut requests: Vec<BatchRequest> = stack
+        .chunks(4)
+        .enumerate()
+        .map(|(a, trap)| xor_group(s, trap, 100 + a as u64 * 7))
+        .collect();
+    requests.push(xor_group(s, long, 200));
+    requests
+}
+
+/// XORs every vector of `group` but the last into the last.
+fn xor_group(s: &mut PimSystem, group: &[PimBitVec], salt: u64) -> BatchRequest {
+    let (dst, operands) = group.split_last().expect("non-empty group");
+    xor_into(s, operands, dst, salt)
+}
+
+/// Stores operand `j` with salt `salt + j` and XORs the operands into `dst`.
+fn xor_into(s: &mut PimSystem, operands: &[PimBitVec], dst: &PimBitVec, salt: u64) -> BatchRequest {
+    for (j, v) in operands.iter().enumerate() {
+        store_pattern(s, v, ADV_BITS, salt + j as u64);
+    }
+    BatchRequest {
+        op: BitwiseOp::Xor,
+        operands: operands.to_vec(),
+        dst: dst.clone(),
+    }
 }
 
 struct Measurement {
@@ -320,31 +248,24 @@ impl Measurement {
         }
     }
 
-    fn to_json(&self) -> String {
+    fn row(&self) -> Json {
         let m = &self.report.makespan;
-        format!(
-            "    {{\n      \"shape\": \"{}\",\n      \"requests\": {},\n      \
-             \"serial_ns\": {:.3},\n      \"request_granularity_ns\": {:.3},\n      \
-             \"makespan_ns\": {:.3},\n      \"interleave_recovered_ns\": {:.3},\n      \
-             \"tightening\": {:.4},\n      \"rrd_faw_stall_ns\": {:.3},\n      \
-             \"bus_conflict_stall_ns\": {:.3},\n      \"lanes_used\": {},\n      \
-             \"greedy_planned_ns\": {:.3},\n      \"lookahead_planned_ns\": {:.3},\n      \
-             \"lookahead_win\": {:.4},\n      \"bits_identical\": {}\n    }}",
-            self.shape,
-            self.requests,
-            self.report.serial_time_ns,
-            m.request_granularity_ns,
-            m.makespan_ns,
-            m.interleave_recovered_ns,
-            self.tightening(),
-            m.rrd_faw_stall_ns,
-            m.bus_conflict_stall_ns,
-            m.lanes_used,
-            self.greedy_planned_ns,
-            self.lookahead_planned_ns,
-            self.lookahead_win(),
-            self.bits_identical,
-        )
+        Json::obj([
+            ("shape", self.shape.into()),
+            ("requests", self.requests.into()),
+            ("serial_ns", self.report.serial_time_ns.into()),
+            ("request_granularity_ns", m.request_granularity_ns.into()),
+            ("makespan_ns", m.makespan_ns.into()),
+            ("interleave_recovered_ns", m.interleave_recovered_ns.into()),
+            ("tightening", self.tightening().into()),
+            ("rrd_faw_stall_ns", m.rrd_faw_stall_ns.into()),
+            ("bus_conflict_stall_ns", m.bus_conflict_stall_ns.into()),
+            ("lanes_used", m.lanes_used.into()),
+            ("greedy_planned_ns", self.greedy_planned_ns.into()),
+            ("lookahead_planned_ns", self.lookahead_planned_ns.into()),
+            ("lookahead_win", self.lookahead_win().into()),
+            ("bits_identical", self.bits_identical.into()),
+        ])
     }
 }
 
@@ -353,13 +274,13 @@ fn measure(
     build: impl Fn(&mut PimSystem) -> Vec<BatchRequest>,
 ) -> Measurement {
     // Serial reference for result bits.
-    let mut serial = sys();
+    let mut serial = rotated_sys();
     let batch_s = build(&mut serial);
     serial.execute_batch_serial(&batch_s).expect("serial");
     let serial_bits: Vec<Vec<bool>> = batch_s.iter().map(|r| serial.load(&r.dst)).collect();
 
     // Scheduled execution and the planner comparison.
-    let mut parallel = sys();
+    let mut parallel = rotated_sys();
     let batch = build(&mut parallel);
     let greedy = parallel.plan_batch_greedy(&batch);
     let planned = parallel.plan_batch(&batch);
@@ -455,48 +376,43 @@ fn print_row(m: &Measurement) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
-    if smoke {
-        for m in [
-            measure("small", |s| build_uniform(s, 24, 4, 1 << 14)),
-            measure("bus_hog", build_bus_hog),
-            measure("fanin_trap", build_fanin_trap),
-            measure("mixed_fan_in", build_mixed_fan_in),
-        ] {
-            check(&m);
-            print_row(&m);
-        }
-        println!("smoke OK (correctness only; no BENCH_schedule.json written)");
-        return;
-    }
-
-    let rows: Vec<Measurement> = vec![
-        measure("small", |s| build_uniform(s, 24, 4, 1 << 14)),
-        measure("medium", |s| build_uniform(s, 48, 6, 1 << 16)),
-        measure("large", |s| build_uniform(s, 96, 8, 1 << 18)),
-        measure("bus_hog", build_bus_hog),
-        measure("fanin_trap", build_fanin_trap),
-        measure("mixed_fan_in", build_mixed_fan_in),
+    type Build = fn(&mut PimSystem) -> Vec<BatchRequest>;
+    let profile = Profile::from_args();
+    let small: (&str, Build) = ("small", |s| uniform_batch(s, 24, 4, 1 << 14));
+    let uniform = profile.pick(
+        vec![small],
+        vec![
+            small,
+            ("medium", |s| uniform_batch(s, 48, 6, 1 << 16)),
+            ("large", |s| uniform_batch(s, 96, 8, 1 << 18)),
+        ],
+    );
+    let adversarial: [(&str, Build); 3] = [
+        ("bus_hog", build_bus_hog),
+        ("fanin_trap", build_fanin_trap),
+        ("mixed_fan_in", build_mixed_fan_in),
     ];
+
     println!("# Request-granularity vs command-interleaved makespan");
+    let rows: Vec<Measurement> = uniform
+        .into_iter()
+        .chain(adversarial)
+        .map(|(shape, build)| measure(shape, build))
+        .collect();
     for m in &rows {
         check(m);
         print_row(m);
     }
 
-    let json = format!(
-        "{{\n  \"tightening_definition\": \"interleave_recovered_ns / \
-         request_granularity_ns: the fraction of the request-granularity \
-         (fused) makespan the command-interleaved placement recovers. \
-         lookahead_win is 1 - lookahead_planned_ns / greedy_planned_ns \
-         under planned_makespan_ns. All quantities are deterministic \
-         model time, not wall clock.\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.iter()
-            .map(Measurement::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
+    report::finish(
+        profile,
+        "schedule",
+        "tightening is interleave_recovered_ns / request_granularity_ns: the \
+         fraction of the request-granularity (fused) makespan the \
+         command-interleaved placement recovers. lookahead_win is 1 - \
+         lookahead_planned_ns / greedy_planned_ns under planned_makespan_ns. \
+         All quantities are deterministic model time, not wall clock.",
+        Vec::new(),
+        rows.iter().map(Measurement::row).collect(),
     );
-    std::fs::write("BENCH_schedule.json", &json).expect("write BENCH_schedule.json");
-    println!("wrote BENCH_schedule.json");
 }

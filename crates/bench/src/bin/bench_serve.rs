@@ -18,18 +18,21 @@
 //! $ cargo run --release -p pinatubo-bench --bin bench_serve -- --smoke
 //! ```
 //!
-//! `--smoke` runs one small mix and asserts correctness only: bit,
-//! event-ledger and fault-ledger parity against a serial replay of the
-//! served run, zero starved tenants, and per-channel queue depths within
-//! the configured bound — **no JSON output**, so CI runners can never
-//! overwrite the committed measurement. Neither profile gates wall-clock
-//! throughput; `bench_e2e` owns performance regressions.
+//! The full profile runs five mixes, best of two per side, and writes
+//! `BENCH_serve.json`; `--smoke` runs one small mix once and writes
+//! nothing. Every repetition is checked: bit, event-ledger and
+//! fault-ledger parity against a serial replay of the served run, zero
+//! starved tenants, and per-channel queue depths within the configured
+//! bound. Neither profile gates wall-clock throughput; `bench_e2e` owns
+//! performance regressions.
 
+use pinatubo_bench::parity::assert_stats_match;
+use pinatubo_bench::report::{self, Json, Profile};
 use pinatubo_core::PinatuboConfig;
-use pinatubo_mem::{MemConfig, MemStats};
+use pinatubo_mem::MemConfig;
 use pinatubo_runtime::{MappingPolicy, PimSystem};
 use pinatubo_serve::workload::{self, TenantSpec};
-use pinatubo_serve::{PimServer, ServeConfig, ServeError, ServeReport, TenantKind};
+use pinatubo_serve::{LatencyStats, PimServer, ServeConfig, ServeError, ServeReport, TenantKind};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -81,22 +84,14 @@ struct MixRun {
     reference: PimSystem,
 }
 
-/// Runs a mix twice and keeps the better wall-clock number for each
-/// side (the dispatch schedule is deterministic, so everything except
-/// the timings is identical between repeats). Best-of-N is the standard
-/// guard against host scheduling noise in a throughput comparison.
-fn run_mix_best(
-    name: &'static str,
-    tenants: usize,
-    batches: usize,
-    workers: usize,
-    queue_capacity: usize,
-) -> MixRun {
-    let mut best = run_mix(name, tenants, batches, workers, queue_capacity);
-    let second = run_mix(name, tenants, batches, workers, queue_capacity);
-    best.pooled_bps = best.pooled_bps.max(second.pooled_bps);
-    best.serial_bps = best.serial_bps.max(second.serial_bps);
-    best
+impl MixRun {
+    fn rejections(&self) -> u64 {
+        self.report
+            .tenants
+            .iter()
+            .map(|t| t.admission_rejections)
+            .sum()
+    }
 }
 
 fn run_mix(
@@ -171,32 +166,10 @@ fn run_mix(
     }
 }
 
-fn assert_close(label: &str, a: f64, b: f64) {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= 1e-6 * scale,
-        "{label} diverged: {a} vs {b}"
-    );
-}
-
-fn assert_stats_match(serial: &MemStats, served: &MemStats) {
-    assert_eq!(serial.events, served.events, "event counters must match");
-    assert_eq!(
-        serial.reliability, served.reliability,
-        "fault/recovery ledgers must match"
-    );
-    assert_close("time_ns", serial.time_ns, served.time_ns);
-    assert_close(
-        "energy_pj",
-        serial.energy.total_pj(),
-        served.energy.total_pj(),
-    );
-}
-
 /// Parity, starvation and queue-bound checks over one finished mix.
 fn check(run: &MixRun) {
     let reference = &run.reference;
-    assert_stats_match(reference.stats(), run.server.system().stats());
+    assert_stats_match(run.name, reference.stats(), run.server.system().stats());
     let written: BTreeMap<u64, _> = run
         .server
         .dispatch_log()
@@ -247,13 +220,12 @@ fn summarize_kinds(report: &ServeReport) -> Vec<KindSummary> {
             if of_kind.is_empty() {
                 return None;
             }
-            let mut p50s: Vec<u64> = of_kind.iter().map(|t| t.latency.p50_ns).collect();
-            p50s.sort_unstable();
+            let p50s: Vec<u64> = of_kind.iter().map(|t| t.latency.p50_ns).collect();
             Some(KindSummary {
                 kind,
                 tenants: of_kind.len(),
                 batches: of_kind.iter().map(|t| t.latency.count).sum(),
-                p50_ns_median: p50s[p50s.len() / 2],
+                p50_ns_median: LatencyStats::from_samples(&p50s).p50_ns,
                 p99_ns_max: of_kind.iter().map(|t| t.latency.p99_ns).max().unwrap_or(0),
                 max_ns: of_kind.iter().map(|t| t.latency.max_ns).max().unwrap_or(0),
             })
@@ -262,12 +234,6 @@ fn summarize_kinds(report: &ServeReport) -> Vec<KindSummary> {
 }
 
 fn print_row(run: &MixRun) {
-    let rejections: u64 = run
-        .report
-        .tenants
-        .iter()
-        .map(|t| t.admission_rejections)
-        .sum();
     println!(
         "{:<24} | {:>4} batches | pooled {:>8.0} b/s | serial replay {:>8.0} b/s | {:>5.2}x | {:>3} rounds | {:>4} rejections",
         format!("{} (w={})", run.name, run.workers),
@@ -276,7 +242,7 @@ fn print_row(run: &MixRun) {
         run.serial_bps,
         run.pooled_bps / run.serial_bps,
         run.report.rounds,
-        rejections,
+        run.rejections(),
     );
     for k in summarize_kinds(&run.report) {
         println!(
@@ -286,72 +252,74 @@ fn print_row(run: &MixRun) {
     }
 }
 
-fn to_json(run: &MixRun) -> String {
-    let rejections: u64 = run
-        .report
-        .tenants
-        .iter()
-        .map(|t| t.admission_rejections)
-        .sum();
+fn row(run: &MixRun) -> Json {
     let kinds = summarize_kinds(&run.report)
         .iter()
         .map(|k| {
-            format!(
-                "        {{\"kind\": \"{}\", \"tenants\": {}, \"batches\": {}, \
-                 \"p50_ns_median\": {}, \"p99_ns_max\": {}, \"max_ns\": {}}}",
-                k.kind, k.tenants, k.batches, k.p50_ns_median, k.p99_ns_max, k.max_ns
-            )
+            Json::obj([
+                ("kind", k.kind.into()),
+                ("tenants", k.tenants.into()),
+                ("batches", k.batches.into()),
+                ("p50_ns_median", k.p50_ns_median.into()),
+                ("p99_ns_max", k.p99_ns_max.into()),
+                ("max_ns", k.max_ns.into()),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "    {{\n      \"mix\": \"{}\",\n      \"tenants\": {},\n      \
-         \"workers\": {},\n      \"dispatched_batches\": {},\n      \
-         \"scheduler_rounds\": {},\n      \"queue_capacity\": {},\n      \
-         \"admission_rejections\": {},\n      \
-         \"pooled_batches_per_s\": {:.1},\n      \
-         \"serial_replay_batches_per_s\": {:.1},\n      \"ratio\": {:.3},\n      \
-         \"latency_by_kind\": [\n{}\n      ]\n    }}",
-        run.name,
-        run.tenants,
-        run.workers,
-        run.dispatched_batches,
-        run.report.rounds,
-        run.report.queue_capacity,
-        rejections,
-        run.pooled_bps,
-        run.serial_bps,
-        run.pooled_bps / run.serial_bps,
-        kinds,
-    )
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("mix", run.name.into()),
+        ("tenants", run.tenants.into()),
+        ("workers", run.workers.into()),
+        ("dispatched_batches", run.dispatched_batches.into()),
+        ("scheduler_rounds", run.report.rounds.into()),
+        ("queue_capacity", run.report.queue_capacity.into()),
+        ("admission_rejections", run.rejections().into()),
+        ("pooled_batches_per_s", run.pooled_bps.into()),
+        ("serial_replay_batches_per_s", run.serial_bps.into()),
+        ("ratio", (run.pooled_bps / run.serial_bps).into()),
+        ("latency_by_kind", Json::Arr(kinds)),
+    ])
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
-    if smoke {
-        let run = run_mix("smoke 12-tenant mix", 12, 2, 0, 8);
-        check(&run);
-        print_row(&run);
-        println!("smoke OK (parity/starvation/bounds only; no BENCH_serve.json written)");
-        return;
-    }
+    let profile = Profile::from_args();
+    // (name, tenants, batches per tenant, workers, queue capacity). One
+    // worker is the sweet spot at these request sizes (the model work per
+    // request is too small for per-channel fan-out to pay for the round
+    // syncs); the per-channel-workers row is kept as the sweep point
+    // showing exactly that.
+    let mixes = profile.pick(
+        vec![("smoke 12-tenant mix", 12, 2, 0, 8)],
+        vec![
+            ("8 tenants", 8, 4, 1, 32),
+            ("16 tenants", 16, 4, 1, 32),
+            ("64 tenants", 64, 3, 1, 32),
+            ("64 tenants 2 workers", 64, 3, 2, 32),
+            ("64 tenants per-channel workers", 64, 3, 0, 32),
+        ],
+    );
+    // Best-of-N wall clock per side guards the throughput comparison
+    // against host scheduling noise; the dispatch schedule is
+    // deterministic, so everything but the timings repeats exactly.
+    let reps = profile.pick(1, 2);
 
     println!("# Multi-tenant serving: pooled session vs serial replay, same dispatch stream");
-    // One worker is the sweet spot at these request sizes (the model
-    // work per request is too small for per-channel fan-out to pay for
-    // the round syncs); the per-channel-workers row is kept as the sweep
-    // point showing exactly that.
-    let rows = vec![
-        run_mix_best("8 tenants", 8, 4, 1, 32),
-        run_mix_best("16 tenants", 16, 4, 1, 32),
-        run_mix_best("64 tenants", 64, 3, 1, 32),
-        run_mix_best("64 tenants 2 workers", 64, 3, 2, 32),
-        run_mix_best("64 tenants per-channel workers", 64, 3, 0, 32),
-    ];
-    for run in &rows {
-        check(run);
-        print_row(run);
+    let mut rows = Vec::new();
+    for (name, tenants, batches, workers, queue_capacity) in mixes {
+        let best = (0..reps)
+            .map(|_| {
+                let run = run_mix(name, tenants, batches, workers, queue_capacity);
+                check(&run);
+                run
+            })
+            .reduce(|mut best, run| {
+                best.pooled_bps = best.pooled_bps.max(run.pooled_bps);
+                best.serial_bps = best.serial_bps.max(run.serial_bps);
+                best
+            })
+            .expect("at least one repetition");
+        print_row(&best);
+        rows.push(best);
     }
 
     // Aggregate over every dispatched batch: reported, not gated.
@@ -371,28 +339,31 @@ fn main() {
         total_batches as f64 / serial_s,
     );
 
-    let json = format!(
-        "{{\n  \"definition\": \"Each mix registers N tenants (rotating \
-         filter / BFS-frontier / compiled integer-kernel streams, weights \
-         cycling 1-4), places their data wear-aware under per-tenant row \
-         quotas, and drives every stream head-of-line through one serve \
-         session: bounded per-channel admission queues (QueueFull pushes \
-         back on the tenant), deterministic deficit weighted round-robin, \
-         one sync every 4 rounds. pooled_batches_per_s is dispatched batches \
-         over the wall-clock serving phase (open to drain); \
+    report::finish(
+        profile,
+        "serve",
+        "Each mix registers N tenants (rotating filter / BFS-frontier / \
+         compiled integer-kernel streams, weights cycling 1-4), places their \
+         data wear-aware under per-tenant row quotas, and drives every \
+         stream head-of-line through one serve session: bounded per-channel \
+         admission queues (QueueFull pushes back on the tenant), \
+         deterministic deficit weighted round-robin, one sync every 4 \
+         rounds. pooled_batches_per_s is dispatched batches over the \
+         wall-clock serving phase (open to drain); \
          serial_replay_batches_per_s is dispatched batches over the \
          wall-clock serial replay (store log, then the identical dispatch \
-         log through execute_batch_serial) on a fresh system. Every \
-         mix is asserted bit- and ledger-identical to a serial replay of \
-         its dispatch log before being reported. Latency percentiles are \
-         nearest-rank over per-batch admission-to-sync wall-clock samples, \
-         summarized per stream shape (median of tenant p50s, max of tenant \
-         p99s). Throughput is host wall clock and varies run to run; \
-         parity and scheduling are deterministic.\",\n  \
-         \"aggregate_pooled_over_serial_replay\": {:.3},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        aggregate_ratio,
-        rows.iter().map(to_json).collect::<Vec<_>>().join(",\n"),
+         log through execute_batch_serial) on a fresh system; each is the \
+         best of two runs, and every run is asserted bit- and \
+         ledger-identical to a serial replay of its dispatch log. Latency \
+         percentiles are nearest-rank over per-batch admission-to-sync \
+         wall-clock samples, summarized per stream shape (nearest-rank \
+         median of tenant p50s, max of tenant p99s). Throughput is host \
+         wall clock and varies run to run; parity and scheduling are \
+         deterministic.",
+        vec![(
+            "aggregate_pooled_over_serial_replay",
+            aggregate_ratio.into(),
+        )],
+        rows.iter().map(row).collect(),
     );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
 }

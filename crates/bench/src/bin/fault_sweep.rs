@@ -10,16 +10,18 @@
 //! through entirely different code paths, so agreement here validates the
 //! fault-injection plumbing end to end.
 //!
-//! Run with `cargo run --release -p pinatubo-bench --bin fault_sweep`.
-//! Pass `--smoke` for the CI mode: a fixed-seed scenario that exercises
-//! the whole detect/retry/split/fallback recovery ladder and asserts the
-//! resulting [`pinatubo_mem::ReliabilityStats`] against a pinned snapshot.
+//! Both profiles first run a fixed-seed scenario that exercises the
+//! whole detect/retry/split/fallback recovery ladder and assert the
+//! resulting [`pinatubo_mem::ReliabilityStats`] against a pinned
+//! snapshot; `--smoke` then runs a reduced sweep for CI.
+//!
+//! ```console
+//! $ cargo run --release -p pinatubo-bench --bin fault_sweep
+//! $ cargo run --release -p pinatubo-bench --bin fault_sweep -- --smoke
+//! ```
 
-use pinatubo_bench::protection::{print_comparison, protection_comparison};
-use pinatubo_mem::{
-    MainMemory, MemConfig, MemError, ProtectionMode, ReliabilityConfig, ReliableFanIn, RowAddr,
-    RowData,
-};
+use pinatubo_bench::report::Profile;
+use pinatubo_mem::{MainMemory, MemConfig, ReliabilityConfig, ReliableFanIn, RowAddr, RowData};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::rng::SimRng;
 use pinatubo_nvm::sense_amp::SenseMode;
@@ -109,11 +111,11 @@ fn sweep(cols: u64, senses: u64, analytic_trials: u64) {
     }
 }
 
-/// The CI smoke scenario: write flips + violent OR transients against the
-/// full protection stack, driven through the runtime so the engine's RMW
-/// fallback really runs. Asserts every rung of the recovery ladder fired
-/// and that the final counters match the pinned fixed-seed snapshot.
-fn smoke() {
+/// The pinned ladder scenario: write flips + violent OR transients against
+/// the full protection stack, driven through the runtime so the engine's
+/// RMW fallback really runs. Asserts every rung of the recovery ladder
+/// fired and that the final counters match the pinned fixed-seed snapshot.
+fn recovery_ladder() {
     let mut mem = MemConfig::pcm_default();
     mem.fault_model = FaultModel::with_seed(SEED)
         .with_write_flips(5e-4)
@@ -145,7 +147,7 @@ fn smoke() {
     assert_eq!(sys.load(&vecs[8]), expect, "the result must be correct");
 
     let r = summary.reliability;
-    println!("smoke reliability stats: {r:#?}");
+    println!("recovery ladder stats: {r:#?}");
     assert!(r.is_consistent(), "ledger must close: {r:?}");
     assert!(r.fan_in_splits >= 1, "the OR-8 must split at Fixed(4)");
     assert!(r.sense_retries >= 1, "duplicate senses must have retried");
@@ -167,134 +169,18 @@ fn smoke() {
     assert_eq!(r.fan_in_splits, 1, "pinned: {r:?}");
     assert_eq!(r.rmw_fallbacks, 1, "pinned: {r:?}");
     assert_eq!(r.sense_retries, 3, "pinned: {r:?}");
-    println!("smoke OK");
-}
-
-/// The SEC-DED CI smoke scenario: deterministic stuck-at corruption on
-/// one-word rows, read back under [`ProtectionMode::SecDed`].
-///
-/// A scout memory with protection off first classifies every row by its
-/// visible flip count (stuck cells are a pure function of the seed and
-/// position, so the classification transfers exactly). The measured run
-/// then pins what SEC-DED does with each class:
-///
-/// * single-flip rows: corrected in place — the read returns the intended
-///   bits with zero retry-ladder invocations;
-/// * double-flip rows: flagged as an uncorrectable double, which falls
-///   through to the ladder and fails explicitly.
-fn smoke_secded() {
-    const ROWS: u32 = 512;
-    const BITS: u64 = 64;
-    const P_STUCK: f64 = 4e-3;
-
-    let memory = |mode: ProtectionMode| -> MainMemory {
-        let mut config = MemConfig::pcm_default();
-        config.fault_model = FaultModel::with_seed(SEED).with_stuck_at(P_STUCK, P_STUCK);
-        let mut reliability = match mode {
-            ProtectionMode::None => ReliabilityConfig::off(),
-            ProtectionMode::SecDed => ReliabilityConfig::protected_secded(),
-        };
-        // Corruption must land for the read path to have work to do.
-        reliability.verify_writes = false;
-        config.reliability = reliability;
-        MainMemory::new(config)
-    };
-    let addr = |r: u32| RowAddr::new(0, 0, 0, 0, r);
-    let row_image = |r: u32| -> RowData {
-        let mut rng = SimRng::seed_from_u64(SEED ^ u64::from(r));
-        (0..BITS).map(|_| rng.gen_bool(0.5)).collect()
-    };
-
-    // Scout pass: classify rows by how many bits the stuck cells visibly
-    // flip. Rows with 3+ flips are outside SEC-DED's correction class and
-    // outside this scenario — the measured runs never store them.
-    let mut scout = memory(ProtectionMode::None);
-    let mut singles = Vec::new();
-    let mut doubles = Vec::new();
-    let mut clean = Vec::new();
-    for r in 0..ROWS {
-        let want = row_image(r);
-        scout.poke_row(addr(r), &want).expect("scout poke");
-        let diff = scout.peek_row(addr(r)).expect("stored").count_diff(&want);
-        match diff {
-            0 => clean.push(r),
-            1 => singles.push(r),
-            2 => doubles.push(r),
-            _ => {}
-        }
-    }
-    assert!(
-        singles.len() >= 4 && doubles.len() >= 2,
-        "seed must yield both fault classes: {} singles, {} doubles",
-        singles.len(),
-        doubles.len()
-    );
-
-    // SEC-DED run: singles corrected in place (intended bits back, zero
-    // ladder), doubles detected and failed explicitly by the ladder.
-    let mut secded = memory(ProtectionMode::SecDed);
-    for &r in clean.iter().chain(&singles).chain(&doubles) {
-        secded.poke_row(addr(r), &row_image(r)).expect("poke");
-    }
-    for &r in clean.iter().chain(&singles) {
-        let retries_before = secded.stats().reliability.sense_retries;
-        let got = secded.activate_read(addr(r), BITS).expect("accepted read");
-        assert_eq!(got, row_image(r), "row {r} must read back as intended");
-        assert_eq!(
-            secded.stats().reliability.sense_retries,
-            retries_before,
-            "in-place correction must not invoke the retry ladder"
-        );
-    }
-    for &r in &doubles {
-        match secded.activate_read(addr(r), BITS) {
-            Err(MemError::UncorrectableRead { .. }) => {}
-            other => panic!("double-flip row {r} must fail explicitly, got {other:?}"),
-        }
-    }
-    let sr = secded.stats().reliability;
-    println!("secded smoke reliability stats: {sr:#?}");
-    assert!(sr.is_consistent(), "ledger must close: {sr:?}");
-    assert_eq!(
-        sr.ecc_corrected_bits,
-        singles.len() as u64,
-        "pinned: {sr:?}"
-    );
-    assert_eq!(
-        sr.ecc_detected_double,
-        doubles.len() as u64,
-        "pinned: {sr:?}"
-    );
-    assert_eq!(sr.silent_wrong_bits, 0, "SEC-DED must close the blind spot");
-    assert_eq!(sr.uncorrectable_errors, doubles.len() as u64);
-
-    // Pinned fixed-seed class sizes: any change to the stuck-at draw
-    // keying shows up here before it reaches the tables.
-    assert_eq!(singles.len(), 88, "pinned: {} singles", singles.len());
-    assert_eq!(doubles.len(), 19, "pinned: {} doubles", doubles.len());
-    println!(
-        "secded smoke OK ({} corrected, {} double)",
-        singles.len(),
-        doubles.len()
-    );
+    println!("recovery ladder OK");
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        smoke_secded();
-        sweep(4, 512, 2_000);
-        print_comparison(&protection_comparison(128, 512, SEED, 1e-3));
-    } else {
-        // Narrow rows, many senses: the systematic variation component is
-        // one draw per sense *event*, shared by every column of that
-        // sense, so at wide fan-ins (where the per-cell residuals average
-        // out across the parallel combine) errors arrive as bursts on rare
-        // tail draws. The number of events — not columns — sets how well
-        // the functional side samples the tails the analytic model
-        // integrates over per trial.
-        sweep(4, 8_192, 32_768);
-        println!();
-        print_comparison(&protection_comparison(512, 512, SEED, 1e-3));
-    }
+    let profile = Profile::from_args();
+    recovery_ladder();
+    // Narrow rows, many senses: the systematic variation component is one
+    // draw per sense *event*, shared by every column of that sense, so at
+    // wide fan-ins (where the per-cell residuals average out across the
+    // parallel combine) errors arrive as bursts on rare tail draws. The
+    // number of events — not columns — sets how well the functional side
+    // samples the tails the analytic model integrates over per trial.
+    let (senses, analytic_trials) = profile.pick((512, 2_000), (8_192, 32_768));
+    sweep(4, senses, analytic_trials);
 }

@@ -1,4 +1,4 @@
-//! Shared harness code for the figure-regeneration binaries.
+//! Shared harness code for the figure-regeneration and bench binaries.
 //!
 //! Each `fig*` binary in `src/bin/` regenerates one figure of the paper's
 //! evaluation (see `EXPERIMENTS.md` for the paper-vs-measured record):
@@ -13,15 +13,87 @@
 //! | `fig13` | Fig. 13 — area overhead and breakdown |
 //!
 //! `ablation_*` binaries cover the design choices `DESIGN.md` flags.
+//!
+//! Five `bench_*` binaries commit their results, each through
+//! [`report::finish`]; `--smoke` runs the small shapes with every check
+//! and writes nothing:
+//!
+//! | binary | measures | file |
+//! |--------|----------|------|
+//! | `bench_parallel` | persistent session vs serial execution | `BENCH_parallel.json` |
+//! | `bench_schedule` | interleaved vs request-granularity makespan, lookahead vs greedy | `BENCH_schedule.json` |
+//! | `bench_bitserial` | fused vs unfused µ-programs, PIM vs SIMD | `BENCH_bitserial.json` |
+//! | `bench_serve` | multi-tenant serving vs serial replay | `BENCH_serve.json` |
+//! | `bench_fault` | packed vs per-cell fault path, no protection vs SEC-DED | `BENCH_fault.json` |
+//!
+//! `fault_sweep` prints the functional-vs-analytic sense-error sweep and
+//! asserts the pinned recovery-ladder scenario.
 
 #![warn(missing_docs)]
 
+pub mod parity;
 pub mod protection;
+pub mod report;
 
 use pinatubo_apps::AppRun;
 use pinatubo_baselines::{
     AcPimExecutor, BitwiseExecutor, ExecReport, PinatuboExecutor, SdramExecutor, SimdCpu,
 };
+use pinatubo_core::{BitwiseOp, PinatuboConfig};
+use pinatubo_mem::MemConfig;
+use pinatubo_runtime::{BatchRequest, MappingPolicy, PimBitVec, PimSystem};
+
+/// The system the scheduling benches measure on: PCM, channel-rotated
+/// placement, page-aligned allocation groups. Page alignment keeps a
+/// request's destination off its neighbours' copy-on-write pages, so a
+/// session shard's first write copies only the group's own pages.
+#[must_use]
+pub fn rotated_sys() -> PimSystem {
+    let mut s = PimSystem::new(
+        MemConfig::pcm_default(),
+        PinatuboConfig::default(),
+        MappingPolicy::ChannelRotate,
+    );
+    s.set_page_aligned_groups(true);
+    s
+}
+
+/// Stores a deterministic `bits`-bit pattern, varied by `salt`, into `v`.
+///
+/// # Panics
+///
+/// Panics if the store fails.
+pub fn store_pattern(s: &mut PimSystem, v: &PimBitVec, bits: u64, salt: u64) {
+    let pattern: Vec<bool> = (0..bits)
+        .map(|i| (i.wrapping_mul(2654435761).wrapping_add(salt)) & 4 != 0)
+        .collect();
+    s.store(v, &pattern).expect("store");
+}
+
+/// `count` independent `k`-operand OR/AND/XOR requests over `bits`-bit
+/// vectors. Under [`rotated_sys`] every request sits on one channel and
+/// consecutive requests rotate over all of them, so the batch is
+/// maximally shardable.
+///
+/// # Panics
+///
+/// Panics if the groups do not fit in memory.
+pub fn uniform_batch(s: &mut PimSystem, count: usize, k: usize, bits: u64) -> Vec<BatchRequest> {
+    let ops = [BitwiseOp::Or, BitwiseOp::And, BitwiseOp::Xor];
+    (0..count)
+        .map(|g| {
+            let group = s.alloc_group(k + 1, bits).expect("allocation fits");
+            for (j, v) in group[..k].iter().enumerate() {
+                store_pattern(s, v, bits, g as u64 * 31 + j as u64);
+            }
+            BatchRequest {
+                op: ops[g % ops.len()],
+                operands: group[..k].to_vec(),
+                dst: group[k].clone(),
+            }
+        })
+        .collect()
+}
 
 /// Geometric mean of a slice of positive values.
 ///

@@ -134,5 +134,8 @@ mod tests {
         assert_eq!(LatencyStats::from_samples(&[]), LatencyStats::default());
         let one = LatencyStats::from_samples(&[7]);
         assert_eq!((one.p50_ns, one.p99_ns, one.max_ns), (7, 7, 7));
+        // An even count takes the lower of the two middle samples.
+        let two = LatencyStats::from_samples(&[9, 3]);
+        assert_eq!((two.p50_ns, two.p99_ns, two.max_ns), (3, 9, 9));
     }
 }

@@ -6,9 +6,10 @@
 //! parity (bits, statistics and fault ledgers) across pool sizes.
 
 use pinatubo_baselines::simd::arith_reference;
+use pinatubo_bench::parity::assert_stats_match;
 use pinatubo_core::rng::SimRng;
 use pinatubo_core::{ArithOp, PinatuboConfig};
-use pinatubo_mem::{MemConfig, MemStats, ReliabilityConfig};
+use pinatubo_mem::{MemConfig, ReliabilityConfig};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::yield_analysis::VariationModel;
 use pinatubo_runtime::microcode::{self, CompileOptions, MicroOut, MicroProgram, TransposedVec};
@@ -237,28 +238,6 @@ fn const_shifts_remap_planes_with_zero_gates() {
     }
 }
 
-fn assert_close(label: &str, a: f64, b: f64) {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= 1e-6 * scale,
-        "{label} diverged: {a} vs {b}"
-    );
-}
-
-fn assert_stats_match(serial: &MemStats, other: &MemStats) {
-    assert_eq!(serial.events, other.events, "event counters must match");
-    assert_eq!(
-        serial.reliability, other.reliability,
-        "fault/recovery ledgers must match"
-    );
-    assert_close("time_ns", serial.time_ns, other.time_ns);
-    assert_close(
-        "energy_pj",
-        serial.energy.total_pj(),
-        other.energy.total_pj(),
-    );
-}
-
 type Outputs = (TransposedVec, TransposedVec, PimBitVec);
 
 /// Allocates inputs + outputs deterministically and compiles the mixed
@@ -318,7 +297,7 @@ fn session_matches_serial_across_pool_sizes() {
             read_outputs(&s, &outs),
             "session must be bit-identical (workers={workers})"
         );
-        assert_stats_match(serial.stats(), s.stats());
+        assert_stats_match(&format!("workers={workers}"), serial.stats(), s.stats());
         assert_eq!(
             serial.trace(),
             s.trace(),

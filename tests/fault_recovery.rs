@@ -580,6 +580,14 @@ fn secded_closes_the_parity_aliasing_blind_spot() {
     assert_eq!(sr.silent_wrong_bits, 0, "{sr:?}");
     assert_eq!(sr.ecc_corrected_bits, singles.len() as u64);
     assert_eq!(sr.ecc_detected_double, doubles.len() as u64);
+    assert_eq!(sr.uncorrectable_errors, doubles.len() as u64, "{sr:?}");
+    // Pinned fixed-seed class sizes: a change to the stuck-at draw keying
+    // shows up here before it reaches the tables.
+    assert_eq!(
+        (singles.len(), doubles.len()),
+        (67, 12),
+        "pinned class sizes"
+    );
 }
 
 /// The event counters themselves are part of the pinned ledger: every

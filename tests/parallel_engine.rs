@@ -4,6 +4,7 @@
 //! `detected == corrected + uncorrectable` invariant, and the degenerate
 //! empty-batch / single-channel cases.
 
+use pinatubo_bench::parity::{assert_close, assert_stats_match};
 use pinatubo_core::{BitwiseOp, PinatuboConfig};
 use pinatubo_mem::{MemConfig, MemStats, ReliabilityConfig};
 use pinatubo_nvm::fault::FaultModel;
@@ -89,36 +90,6 @@ fn build_batch(s: &mut PimSystem, with_cross: bool) -> (Vec<BatchRequest>, Vec<P
     (requests, dsts)
 }
 
-fn assert_close(label: &str, a: f64, b: f64) {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= 1e-6 * scale,
-        "{label} diverged: {a} vs {b}"
-    );
-}
-
-/// Statistics parity up to float summation order (shard merge adds
-/// per-channel subtotals; integer counters must match exactly).
-fn assert_stats_match(serial: &MemStats, parallel: &MemStats) {
-    assert_eq!(serial.events, parallel.events, "event counters must match");
-    assert_eq!(
-        serial.reliability, parallel.reliability,
-        "fault/recovery ledgers must match"
-    );
-    assert_close("time_ns", serial.time_ns, parallel.time_ns);
-    assert_close(
-        "shared_ns",
-        serial.time.shared_ns(),
-        parallel.time.shared_ns(),
-    );
-    assert_close("stall_ns", serial.time.stall_ns, parallel.time.stall_ns);
-    assert_close(
-        "energy_pj",
-        serial.energy.total_pj(),
-        parallel.energy.total_pj(),
-    );
-}
-
 #[test]
 fn parallel_batch_matches_serial_bits_stats_and_faults() {
     for with_cross in [false, true] {
@@ -136,7 +107,11 @@ fn parallel_batch_matches_serial_bits_stats_and_faults() {
             serial_bits, parallel_bits,
             "parallel execution must be bit-identical (with_cross={with_cross})"
         );
-        assert_stats_match(serial.stats(), parallel.stats());
+        assert_stats_match(
+            &format!("with_cross={with_cross}"),
+            serial.stats(),
+            parallel.stats(),
+        );
         assert_eq!(
             serial.trace(),
             parallel.trace(),
@@ -162,7 +137,7 @@ fn fault_free_parallel_batch_matches_serial_exactly() {
     let parallel_bits: Vec<Vec<bool>> = outs.iter().map(|v| parallel.load(v)).collect();
 
     assert_eq!(serial_bits, parallel_bits);
-    assert_stats_match(serial.stats(), parallel.stats());
+    assert_stats_match("fault-free batch", serial.stats(), parallel.stats());
     assert_eq!(serial_report.per_op.len(), parallel_report.per_op.len());
     for ((si, ss), (pi, ps)) in serial_report.per_op.iter().zip(&parallel_report.per_op) {
         assert_eq!(si, pi, "scheduled order must be identical");
@@ -270,7 +245,7 @@ fn session_matches_serial_across_pool_sizes() {
                 serial_bits, bits,
                 "session must be bit-identical (workers={workers}, with_cross={with_cross})"
             );
-            assert_stats_match(serial.stats(), s.stats());
+            assert_stats_match(&format!("workers={workers}"), serial.stats(), s.stats());
             assert_eq!(
                 serial.trace(),
                 s.trace(),
@@ -405,7 +380,7 @@ fn interleaved_submit_sync_matches_serial_reference() {
             .chain(std::iter::once(pooled.load(&p_cross_dst)))
             .collect();
         assert_eq!(serial_final, pooled_final, "workers={workers}");
-        assert_stats_match(serial.stats(), pooled.stats());
+        assert_stats_match("interleaved submit/sync", serial.stats(), pooled.stats());
         assert_eq!(serial.trace(), pooled.trace());
         assert_eq!(serial_sums.len(), pooled_sums.len());
         for (ss, ps) in serial_sums.iter().zip(&pooled_sums) {
@@ -609,7 +584,7 @@ fn secded_session_matches_serial() {
                 serial_bits, bits,
                 "secded session must be bit-identical (workers={workers}, with_cross={with_cross})"
             );
-            assert_stats_match(serial.stats(), s.stats());
+            assert_stats_match(&format!("workers={workers}"), serial.stats(), s.stats());
         }
         let r = serial.stats().reliability;
         assert!(
@@ -737,5 +712,5 @@ fn single_channel_geometry_degenerates_to_serial() {
     let parallel_bits: Vec<Vec<bool>> = outs.iter().map(|v| parallel.load(v)).collect();
 
     assert_eq!(serial_bits, parallel_bits);
-    assert_stats_match(serial.stats(), parallel.stats());
+    assert_stats_match("single channel", serial.stats(), parallel.stats());
 }

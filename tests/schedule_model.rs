@@ -5,8 +5,9 @@
 //! planning is deterministic, and pooled-session execution of the same
 //! scheduled shapes stays bit-, stats- and ledger-identical to serial.
 
+use pinatubo_bench::parity::assert_stats_match;
 use pinatubo_core::{BitwiseOp, PinatuboConfig};
-use pinatubo_mem::{MemConfig, MemStats, ReliabilityConfig};
+use pinatubo_mem::{MemConfig, ReliabilityConfig};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::rng::SimRng;
 use pinatubo_runtime::{BatchRequest, MappingPolicy, PimBitVec, PimSystem};
@@ -230,28 +231,6 @@ fn lookahead_plan_is_a_permutation_and_never_worse_than_greedy() {
             "{name}: lookahead ({planned_ns}) must never lose to greedy ({greedy_ns})"
         );
     }
-}
-
-fn assert_close(label: &str, a: f64, b: f64) {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= 1e-6 * scale,
-        "{label} diverged: {a} vs {b}"
-    );
-}
-
-fn assert_stats_match(name: &str, serial: &MemStats, pooled: &MemStats) {
-    assert_eq!(serial.events, pooled.events, "{name}: event counters");
-    assert_eq!(
-        serial.reliability, pooled.reliability,
-        "{name}: fault/recovery ledgers"
-    );
-    assert_close("time_ns", serial.time_ns, pooled.time_ns);
-    assert_close(
-        "energy_pj",
-        serial.energy.total_pj(),
-        pooled.energy.total_pj(),
-    );
 }
 
 /// The scheduler's shapes, replayed through the persistent worker-pool

@@ -4,8 +4,9 @@
 //! across 1/2/4 workers, quota-exceeded and queue-full rejection paths,
 //! and wear-aware placement steering allocations off hot channels.
 
+use pinatubo_bench::parity::assert_stats_match;
 use pinatubo_core::{BitwiseOp, PinatuboConfig};
-use pinatubo_mem::{MemConfig, MemStats, ReliabilityConfig};
+use pinatubo_mem::{MemConfig, ReliabilityConfig};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::yield_analysis::VariationModel;
 use pinatubo_runtime::microcode::{CompileOptions, MicroBatchError, MicroProgram};
@@ -35,28 +36,6 @@ fn faulty_mem() -> MemConfig {
 
 fn sys(mem: MemConfig) -> PimSystem {
     PimSystem::new(mem, PinatuboConfig::default(), MappingPolicy::ChannelRotate)
-}
-
-fn assert_close(label: &str, a: f64, b: f64) {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= 1e-6 * scale,
-        "{label} diverged: {a} vs {b}"
-    );
-}
-
-fn assert_stats_match(serial: &MemStats, other: &MemStats) {
-    assert_eq!(serial.events, other.events, "event counters must match");
-    assert_eq!(
-        serial.reliability, other.reliability,
-        "fault/recovery ledgers must match"
-    );
-    assert_close("time_ns", serial.time_ns, other.time_ns);
-    assert_close(
-        "energy_pj",
-        serial.energy.total_pj(),
-        other.energy.total_pj(),
-    );
 }
 
 /// 64 tenants: a rotating mix of the three stream shapes.
@@ -149,10 +128,11 @@ fn sixty_four_tenants_match_serial_and_are_deterministic_across_workers() {
     workload::replay_serial(&mut reference, server1.store_log(), server1.dispatch_log())
         .expect("serial replay");
     let served_stats = *server1.system().stats();
-    // assert_stats_match compares events, reliability ledger, time and
-    // energy; row_pages_copied is a host-side session metric and is
-    // expected to differ from serial execution (which never shares pages).
-    assert_stats_match(reference.stats(), &served_stats);
+    // assert_stats_match compares events, reliability ledger, time (total,
+    // shared, stall) and energy; row_pages_copied is a host-side session
+    // metric and is expected to differ from serial execution (which never
+    // shares pages).
+    assert_stats_match("serial replay", reference.stats(), &served_stats);
     for (id, vec) in written_vecs(&server1) {
         assert_eq!(
             server1.system().load(&vec),
@@ -194,7 +174,11 @@ fn sixty_four_tenants_match_serial_and_are_deterministic_across_workers() {
             order1, order_w,
             "dispatch order changed at {workers} workers"
         );
-        assert_stats_match(&served_stats, server_w.system().stats());
+        assert_stats_match(
+            &format!("workers={workers}"),
+            &served_stats,
+            server_w.system().stats(),
+        );
         for (id, vec) in written_vecs(&server_w) {
             assert_eq!(
                 server1.system().load(&vec),
