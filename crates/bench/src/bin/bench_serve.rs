@@ -4,9 +4,10 @@
 //!
 //! Each mix registers N tenants (a rotating blend of database filters,
 //! BFS frontier steps and compiled bit-serial integer kernels), places
-//! their data wear-aware under per-tenant row quotas, and drives every
-//! stream head-of-line through one [`pinatubo_serve::ServeSession`]
-//! (bounded per-channel admission queues, deficit weighted round-robin).
+//! each tenant's data on its wear-aware home channel under per-tenant
+//! row quotas, and drives every stream head-of-line through one
+//! [`pinatubo_serve::ServeSession`] (bounded per-channel admission
+//! queues, deficit weighted round-robin).
 //! The serving phase is wall-clock timed from session open to drain; the
 //! comparison column times [`workload::replay_serial`], which replays the
 //! store log and then the identical dispatch log batch by batch through
@@ -343,12 +344,12 @@ fn main() {
         profile,
         "serve",
         "Each mix registers N tenants (rotating filter / BFS-frontier / \
-         compiled integer-kernel streams, weights cycling 1-4), places their \
-         data wear-aware under per-tenant row quotas, and drives every \
-         stream head-of-line through one serve session: bounded per-channel \
-         admission queues (QueueFull pushes back on the tenant), \
-         deterministic deficit weighted round-robin, one sync every 4 \
-         rounds. pooled_batches_per_s is dispatched batches over the \
+         compiled integer-kernel streams, weights cycling 1-4), places each \
+         tenant's data on its wear-aware home channel under per-tenant row \
+         quotas, and drives every stream head-of-line through one serve \
+         session: bounded per-channel admission queues (QueueFull pushes \
+         back on the tenant), deterministic deficit weighted round-robin, \
+         one sync every 4 rounds. pooled_batches_per_s is dispatched batches over the \
          wall-clock serving phase (open to drain); \
          serial_replay_batches_per_s is dispatched batches over the \
          wall-clock serial replay (store log, then the identical dispatch \

@@ -22,6 +22,10 @@ pub struct PimAllocator {
     used: HashSet<u64>,
     /// Rows retired for endurance reasons (subset of `used`).
     retired: HashSet<u64>,
+    /// `used` rows per channel (channel `c` owns linear rows
+    /// `c * per_channel..(c + 1) * per_channel`), so `ChannelRotate` can
+    /// tell whether a group fits a channel without scanning it.
+    channel_used: Vec<u64>,
     /// Next candidate for the deterministic policies.
     cursor: u64,
     /// Per-channel next candidates (`ChannelRotate` only; empty otherwise).
@@ -58,6 +62,7 @@ impl PimAllocator {
             _ => Vec::new(),
         };
         PimAllocator {
+            channel_used: vec![0; geometry.channels as usize],
             geometry,
             policy,
             used: HashSet::new(),
@@ -102,11 +107,14 @@ impl PimAllocator {
 
     /// Steers the next [`PimAllocator::alloc_group`] to `channel` under
     /// the `ChannelRotate` policy: the rotation cursor is parked on that
-    /// channel, the group lands there (spilling onward only if it is
-    /// full), and rotation resumes from the following channel as usual.
-    /// A wear-aware placement layer uses this to direct allocations away
-    /// from channels the wear ledger shows as hot. No-op under the other
-    /// policies, whose placement is not channel-addressed.
+    /// channel, the group lands there whole (or, if the channel lacks the
+    /// free rows, whole on the next channel in rotation order that has
+    /// them), and rotation resumes from the following channel as usual.
+    /// Callers use it to keep an op's operands on one channel: the
+    /// serving layer steers every allocation of a tenant to its home
+    /// channel, and `microcode::compile` puts scratch beside the
+    /// operands. No-op under the other policies, whose placement is not
+    /// channel-addressed.
     ///
     /// # Panics
     ///
@@ -133,7 +141,7 @@ impl PimAllocator {
                 self.cursor = (self.cursor.div_ceil(page) * page) % self.geometry.total_rows();
             }
             MappingPolicy::ChannelRotate => {
-                let per_channel = self.geometry.total_rows() / u64::from(self.geometry.channels);
+                let per_channel = self.rows_per_channel();
                 let base = self.rotate_channel as u64 * per_channel;
                 let cursor = self.channel_cursors[self.rotate_channel];
                 let aligned = cursor.div_ceil(page) * page;
@@ -149,6 +157,46 @@ impl PimAllocator {
         self.geometry.total_rows() - self.used.len() as u64
     }
 
+    /// Rows in one channel's linear range.
+    fn rows_per_channel(&self) -> u64 {
+        self.geometry.total_rows() / u64::from(self.geometry.channels)
+    }
+
+    /// Adds a row to `used`, keeping the per-channel count.
+    fn mark_used(&mut self, linear: u64) {
+        if self.used.insert(linear) {
+            let c = (linear / self.rows_per_channel()) as usize;
+            self.channel_used[c] += 1;
+        }
+    }
+
+    /// Removes a row from `used`, keeping the per-channel count; returns
+    /// whether it was in use.
+    fn mark_free(&mut self, linear: u64) -> bool {
+        let was_used = self.used.remove(&linear);
+        if was_used {
+            let c = (linear / self.rows_per_channel()) as usize;
+            self.channel_used[c] -= 1;
+        }
+        was_used
+    }
+
+    /// `ChannelRotate`: parks the rotation cursor on the first channel,
+    /// in rotation order from the current one, with `rows` free rows, so
+    /// a group lands whole on one channel. Leaves the cursor where it is
+    /// when no channel has room; `next_row` then spills the group row by
+    /// row.
+    fn rotate_to_fit(&mut self, rows: u64) {
+        let channels = self.channel_used.len();
+        let per_channel = self.rows_per_channel();
+        if let Some(c) = (0..channels)
+            .map(|k| (self.rotate_channel + k) % channels)
+            .find(|&c| per_channel - self.channel_used[c] >= rows)
+        {
+            self.rotate_channel = c;
+        }
+    }
+
     /// Permanently removes rows from the allocation pool (endurance
     /// management: worn or faulty rows are never handed out again).
     /// Rows currently holding data keep working — wear-out is gradual —
@@ -157,11 +205,14 @@ impl PimAllocator {
     /// Returns how many rows were newly retired.
     pub fn retire_rows(&mut self, rows: &[RowAddr]) -> usize {
         let mut newly = 0;
-        for row in rows.iter().filter(|r| r.is_valid(&self.geometry)) {
+        for row in rows {
+            if !row.is_valid(&self.geometry) {
+                continue;
+            }
             let linear = row.to_linear(&self.geometry);
             if self.retired.insert(linear) {
                 newly += 1;
-                self.used.insert(linear);
+                self.mark_used(linear);
             }
         }
         newly
@@ -181,9 +232,12 @@ impl PimAllocator {
     /// Returns how many rows were actually released.
     pub fn release_rows(&mut self, rows: &[RowAddr]) -> usize {
         let mut released = 0;
-        for row in rows.iter().filter(|r| r.is_valid(&self.geometry)) {
+        for row in rows {
+            if !row.is_valid(&self.geometry) {
+                continue;
+            }
             let linear = row.to_linear(&self.geometry);
-            if !self.retired.contains(&linear) && self.used.remove(&linear) {
+            if !self.retired.contains(&linear) && self.mark_free(linear) {
                 released += 1;
             }
         }
@@ -237,6 +291,11 @@ impl PimAllocator {
         let group_rows = rows_per_vector * count as u64;
         let sub_rows = u64::from(self.geometry.rows_per_subarray);
         let fits_subarray = group_rows <= sub_rows;
+        if self.policy == MappingPolicy::ChannelRotate {
+            // A group that straddles channels would send every op over it
+            // across the DDR bus, so it moves whole to a channel with room.
+            self.rotate_to_fit(group_rows);
+        }
         if self.page_aligned_groups {
             // Align before the straddle check: a subarray is a whole
             // number of pages, so a straddle skip keeps the alignment.
@@ -258,8 +317,7 @@ impl PimAllocator {
                     // cursor (each channel's row range is a whole number
                     // of subarrays, so `% sub_rows` is subarray-relative
                     // there too).
-                    let per_channel =
-                        self.geometry.total_rows() / u64::from(self.geometry.channels);
+                    let per_channel = self.rows_per_channel();
                     let base = self.rotate_channel as u64 * per_channel;
                     let cursor = self.channel_cursors[self.rotate_channel];
                     let used_in_subarray = cursor % sub_rows;
@@ -362,7 +420,7 @@ impl PimAllocator {
                 // Subarray-first scan inside the current channel's row
                 // range; spill to the next channel when one fills up.
                 let channels = self.geometry.channels as usize;
-                let per_channel = total / channels as u64;
+                let per_channel = self.rows_per_channel();
                 let mut pick = None;
                 'channels: for attempt in 0..channels {
                     let c = (self.rotate_channel + attempt) % channels;
@@ -386,7 +444,7 @@ impl PimAllocator {
                 pick.expect("alloc() checks free_rows before calling next_row")
             }
         };
-        self.used.insert(linear);
+        self.mark_used(linear);
         RowAddr::from_linear(&self.geometry, linear)
     }
 }
@@ -558,6 +616,37 @@ mod tests {
             a.alloc(64),
             Err(RuntimeError::OutOfMemory { free_rows: 0, .. })
         ));
+    }
+
+    #[test]
+    fn channel_rotate_moves_a_group_whole_to_a_channel_with_room() {
+        let mut g = MemGeometry::pcm_default();
+        g.channels = 2;
+        g.ranks_per_channel = 1;
+        g.banks_per_chip = 1;
+        g.subarrays_per_bank = 1;
+        g.rows_per_subarray = 4;
+        let mut a = PimAllocator::new(g, MappingPolicy::ChannelRotate);
+        // Channel 0 keeps one free row; a two-row group steered there
+        // must not straddle the channels.
+        let filler = a.alloc_group(3, 64).expect("filler");
+        assert!(filler.iter().all(|v| v.rows()[0].channel == 0));
+        a.set_next_channel(0);
+        let group = a.alloc_group(2, 64).expect("group");
+        let channels: Vec<u32> = group.iter().map(|v| v.rows()[0].channel).collect();
+        assert_eq!(channels, vec![1, 1], "the group moves whole to channel 1");
+        // Rotation resumes after the channel the group landed on, and a
+        // group no channel can hold still spills row by row.
+        let spill = a.alloc_group(3, 64).expect("spill");
+        let channels: Vec<u32> = spill.iter().map(|v| v.rows()[0].channel).collect();
+        assert_eq!(channels, vec![0, 1, 1]);
+        assert_eq!(a.free_rows(), 0);
+        // Released rows count as room again.
+        a.release_rows(group[0].rows());
+        a.release_rows(filler[0].rows());
+        a.set_next_channel(0);
+        let one = a.alloc_group(1, 64).expect("one");
+        assert_eq!(one[0].rows()[0].channel, 0);
     }
 
     #[test]

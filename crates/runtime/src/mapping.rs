@@ -28,7 +28,8 @@ pub enum MappingPolicy {
     /// subarray (so its ops stay intra-subarray, like `SubarrayFirst`),
     /// but successive groups rotate round-robin across channels so
     /// independent batch requests land on different channels and the
-    /// sharded executor can run them concurrently.
+    /// sharded executor can run them concurrently. A group never
+    /// straddles channels while some channel can hold it whole.
     ChannelRotate,
 }
 

@@ -865,7 +865,10 @@ fn check_shape(programs: &[MicroProgram]) -> Result<(), MicroBatchError> {
 /// across programs when `opts.cse`), single-use same-op chains are
 /// flattened into multi-operand requests when `opts.fuse`, and interior
 /// values get scratch planes recycled by last-use liveness — the peak
-/// live count is allocated as one group. Write-after-read hazards from
+/// live count is allocated as one group, steered to the channel of the
+/// first program's first input plane (see
+/// [`PimSystem::alloc_group_on_channel`]; a no-op steer except under
+/// `ChannelRotate`). Write-after-read hazards from
 /// slot recycling are resolved by the batch scheduler's dependence
 /// analysis, which all execution paths (serial, planned, session pool)
 /// share.
@@ -1103,9 +1106,12 @@ pub fn compile(
     }
 
     // 7. Materialize scratch (one group, placed together like any other
-    //    co-operated vectors) and resolve the abstract locations.
+    //    co-operated vectors, on the channel of the first operand so
+    //    requests mixing scratch and operands stay inside one channel)
+    //    and resolve the abstract locations.
     let scratch = if slot_count > 0 {
-        sys.alloc_group(slot_count, lanes)?
+        let channel = programs[0].a.planes[0].rows()[0].channel;
+        sys.alloc_group_on_channel(channel, slot_count, lanes)?
     } else {
         Vec::new()
     };
@@ -1152,6 +1158,7 @@ mod tests {
     use super::*;
     use crate::mapping::MappingPolicy;
     use pinatubo_core::rng::SimRng;
+    use pinatubo_core::OpClass;
 
     fn sys() -> PimSystem {
         PimSystem::pcm_default(MappingPolicy::SubarrayFirst)
@@ -1379,6 +1386,35 @@ mod tests {
                 got: 32,
             }
         );
+    }
+
+    #[test]
+    fn scratch_lands_on_the_operands_channel() {
+        let mut s = PimSystem::pcm_default(MappingPolicy::ChannelRotate);
+        let channel = 2;
+        let a = s.alloc_transposed_on_channel(channel, 64, 8).expect("a");
+        let bb = s.alloc_transposed_on_channel(channel, 64, 8).expect("b");
+        let dst = s.alloc_transposed_on_channel(channel, 64, 8).expect("dst");
+        // Park the rotation cursor on another channel.
+        let elsewhere = s.alloc_group(1, 64).expect("elsewhere");
+        assert_ne!(elsewhere[0].rows()[0].channel, channel);
+        let compiled = compile(
+            &[MicroProgram::add(&a, &bb, &dst)],
+            CompileOptions::default(),
+            &mut s,
+        )
+        .expect("compile");
+        assert!(compiled.scratch_planes() > 0);
+        for r in compiled.requests() {
+            let rows: Vec<_> = r
+                .operands
+                .iter()
+                .chain([&r.dst])
+                .map(|v| v.rows()[0])
+                .collect();
+            assert!(rows.iter().all(|row| row.channel == channel), "{rows:?}");
+            assert!(OpClass::classify(&rows).is_in_memory(), "{rows:?}");
+        }
     }
 
     #[test]

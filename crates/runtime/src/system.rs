@@ -104,10 +104,11 @@ impl PimSystem {
 
     /// [`PimSystem::alloc_group`] steered to one channel: parks the
     /// `ChannelRotate` cursor on `channel` first (see
-    /// [`PimAllocator::set_next_channel`]), so a wear-aware placement
-    /// layer can route the group to the channel the wear ledger favours.
-    /// Under non-channel-addressed policies the steering is a no-op and
-    /// this is plain [`PimSystem::alloc_group`].
+    /// [`PimAllocator::set_next_channel`]), so a caller can place a group
+    /// beside the vectors it will be operated with — the serving layer's
+    /// home channels and `microcode::compile`'s scratch. Under
+    /// non-channel-addressed policies the steering is a no-op and this is
+    /// plain [`PimSystem::alloc_group`].
     ///
     /// # Errors
     ///

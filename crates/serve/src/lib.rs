@@ -7,8 +7,10 @@
 //! end for the simulator:
 //!
 //! * [`PimServer`] — tenant registry and setup: per-tenant row quotas
-//!   enforced through the allocator, wear-aware cross-tenant placement
-//!   steering `ChannelRotate` groups onto the least-worn channel.
+//!   enforced through the allocator, and home-channel placement: a
+//!   tenant's first placement picks the least-worn channel, and all its
+//!   `ChannelRotate` groups and compiler scratch land there, so its ops
+//!   run in memory rather than over the DDR bus.
 //! * [`ServeSession`] — the serving phase: bounded per-channel admission
 //!   queues (a full queue pushes back on the submitting tenant), a
 //!   deterministic deficit weighted round-robin scheduler multiplexing

@@ -6,8 +6,11 @@
 //! Data is placed and stored on the [`PimServer`] before
 //! [`PimServer::open`]; the [`ServeSession`] it hands out only admits,
 //! dispatches and completes batches. Both allocation methods take one
-//! placement path: quota check, least-worn channel, then a charge of the
-//! rows actually placed.
+//! placement path: quota check, the tenant's home channel, then a charge
+//! of the rows actually placed. A tenant's first placement picks its home
+//! (least-worn channel); every later one, and the compiler's scratch for
+//! its µ-programs, lands there too, so every op a tenant submits runs
+//! inside one channel instead of crossing the DDR bus (paper §4.1, §5).
 
 use crate::stats::{DispatchRecord, LatencyStats, ServeReport, TenantReport};
 use pinatubo_runtime::microcode::{self, CompileOptions, MicroProgram};
@@ -160,6 +163,11 @@ struct Tenant {
     weight: u64,
     row_quota: u64,
     rows_used: u64,
+    /// The channel every placement is steered to: where the first one
+    /// landed.
+    home: Option<u32>,
+    /// Placements with a row off `home`.
+    spilled_allocations: u64,
     deficit: u64,
     pending: VecDeque<PendingBatch>,
     /// Admitted-but-uncompleted requests (pending + dispatched).
@@ -203,7 +211,7 @@ struct ServeState {
     channels: u32,
     row_bits: u64,
     /// Rows this server has placed on each channel (allocation-pressure
-    /// tiebreak for the wear-aware channel choice).
+    /// tiebreak for the wear-aware home-channel choice).
     rows_on_channel: Vec<u64>,
     /// Admitted-but-uncompleted requests per channel.
     channel_depth: Vec<usize>,
@@ -233,6 +241,8 @@ impl ServeState {
                     weight: t.weight,
                     row_quota: t.row_quota,
                     rows_used: t.rows_used,
+                    home_channel: t.home,
+                    spilled_allocations: t.spilled_allocations,
                     batches_submitted: t.batches_submitted,
                     batches_completed: t.batches_completed,
                     ops_submitted: t.ops_submitted,
@@ -249,11 +259,12 @@ impl ServeState {
 }
 
 /// The channel a request is charged to for admission accounting: the
-/// destination's first channel. For channel-confined requests (the
-/// common case under `ChannelRotate` group placement) this is exactly
-/// the home channel the session queues it on; a channel-straddling
-/// request runs as a parent-side barrier either way, so charging its
-/// destination channel keeps the bound conservative.
+/// destination's first channel. Home-channel placement confines every
+/// request of a tenant to one channel, so this is the channel the
+/// session queues it on. A request over rows placed elsewhere (a spilled
+/// allocation, or vectors not placed through the server) may straddle
+/// channels; it runs as a parent-side barrier either way, so charging
+/// its destination channel keeps the bound conservative.
 fn charge_channel(request: &BatchRequest) -> u32 {
     request.dst.rows()[0].channel
 }
@@ -272,8 +283,9 @@ fn batch_channel_profile(requests: &[BatchRequest], channels: u32) -> Vec<(u32, 
         .collect()
 }
 
-/// The wear-aware channel choice: least total wear first, then least
-/// server-placed rows, then lowest index — all deterministic inputs.
+/// The wear-aware home-channel choice for a tenant's first placement:
+/// least total wear first, then least server-placed rows, then lowest
+/// index — all deterministic inputs.
 fn pick_channel(wear: &[u64], rows_on_channel: &[u64]) -> u32 {
     (0..wear.len())
         .min_by_key(|&c| (wear[c], rows_on_channel[c], c))
@@ -283,7 +295,8 @@ fn pick_channel(wear: &[u64], rows_on_channel: &[u64]) -> u32 {
 /// A multi-tenant serving front-end over one [`PimSystem`].
 ///
 /// Setup phase: [`PimServer::register`] tenants, then allocate and store
-/// their data through the quota-checked, wear-aware allocation methods.
+/// their data through the quota-checked allocation methods, which keep
+/// each tenant on its wear-aware home channel.
 /// Serving phase: [`PimServer::open`] a [`ServeSession`], submit batches
 /// and advance the scheduler; [`ServeSession::finish`] returns the
 /// [`ServeReport`]. The dispatch and store logs accumulated along the
@@ -296,7 +309,7 @@ pub struct PimServer {
 }
 
 impl PimServer {
-    /// Wraps `system` in a serving layer. Wear-aware placement steers
+    /// Wraps `system` in a serving layer. Home-channel placement steers
     /// `ChannelRotate` allocation; other mapping policies still get
     /// quotas and scheduling but place rows wherever the policy says.
     #[must_use]
@@ -343,9 +356,12 @@ impl PimServer {
         TenantId(self.state.tenants.len() - 1)
     }
 
-    /// Quota-checked, wear-aware group allocation: the group lands on
-    /// the channel with the least total wear (ties: least server-placed
-    /// rows, then lowest index).
+    /// Quota-checked group allocation on the tenant's home channel. The
+    /// tenant's first placement picks the home: the channel with the
+    /// least total wear (ties: least server-placed rows, then lowest
+    /// index). A group the home cannot hold lands whole on the next
+    /// channel with room and counts in
+    /// [`TenantReport::spilled_allocations`].
     ///
     /// # Errors
     ///
@@ -368,7 +384,8 @@ impl PimServer {
     }
 
     /// Quota-checked transposed allocation for µ-program operands (the
-    /// planes place as one group; see [`PimSystem::alloc_transposed`]).
+    /// planes place as one group on the tenant's home channel; see
+    /// [`PimSystem::alloc_transposed`]).
     ///
     /// # Errors
     ///
@@ -391,6 +408,8 @@ impl PimServer {
     /// Compiles µ-programs for a tenant, charging the compiler's scratch
     /// planes against the tenant's quota, and returns the request list
     /// ready for [`ServeSession::submit`] (re-submittable every round).
+    /// The compiler places scratch on the channel of the first program's
+    /// first operand, which for server-placed operands is the home.
     ///
     /// # Errors
     ///
@@ -506,9 +525,11 @@ impl PimServer {
     /// The one placement path behind [`PimServer::alloc_group`] and
     /// [`PimServer::alloc_transposed`]: rejects before touching the
     /// allocator if the `rows_needed` estimate would exceed the quota,
-    /// allocates on [`pick_channel`]'s choice, and charges the rows
-    /// actually placed (page alignment and subarray-straddle skips can
-    /// exceed the estimate).
+    /// allocates on the tenant's home channel ([`pick_channel`]'s choice
+    /// for its first placement, which then becomes the home wherever it
+    /// landed), counts a spill if any row landed off the home, and
+    /// charges the rows actually placed (page alignment and
+    /// subarray-straddle skips can exceed the estimate).
     fn place<T>(
         &mut self,
         t: TenantId,
@@ -516,15 +537,25 @@ impl PimServer {
         alloc: impl FnOnce(&mut PimSystem, u32) -> Result<T, RuntimeError>,
         planes: impl Fn(&T) -> &[PimBitVec],
     ) -> Result<T, ServeError> {
-        self.state.tenant_mut(t)?.check_quota(rows_needed)?;
-        let channel = pick_channel(&self.system.channel_wear(), &self.state.rows_on_channel);
+        let tenant = self.state.tenant_mut(t)?;
+        tenant.check_quota(rows_needed)?;
+        let home = tenant.home;
+        let channel = home.unwrap_or_else(|| {
+            pick_channel(&self.system.channel_wear(), &self.state.rows_on_channel)
+        });
         let placed = alloc(&mut self.system, channel)?;
-        let mut actual = 0u64;
-        for r in planes(&placed).iter().flat_map(PimBitVec::rows) {
+        let rows = planes(&placed).iter().flat_map(PimBitVec::rows);
+        let home = home.or_else(|| rows.clone().next().map(|r| r.channel));
+        let (mut actual, mut spilled) = (0u64, false);
+        for r in rows {
             self.state.rows_on_channel[r.channel as usize] += 1;
             actual += 1;
+            spilled |= Some(r.channel) != home;
         }
-        self.state.tenants[t.0].rows_used += actual;
+        let tenant = &mut self.state.tenants[t.0];
+        tenant.rows_used += actual;
+        tenant.home = home;
+        tenant.spilled_allocations += u64::from(spilled);
         Ok(placed)
     }
 }

@@ -56,6 +56,13 @@ pub struct TenantReport {
     pub row_quota: u64,
     /// Rows currently charged against the quota.
     pub rows_used: u64,
+    /// The channel the tenant's data is placed on: where its first
+    /// placement landed (`None` before any). Every later placement, and
+    /// the compiler's scratch for its µ-programs, is steered there.
+    pub home_channel: Option<u32>,
+    /// Placements with a row off the home channel, because the home had
+    /// too few free rows for the group.
+    pub spilled_allocations: u64,
     /// Batches admitted.
     pub batches_submitted: u64,
     /// Batches whose covering sync has completed.

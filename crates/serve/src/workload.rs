@@ -2,8 +2,8 @@
 //! benched and tested with — plus the serial replay harness that
 //! re-executes a served run one batch at a time for parity checks.
 //!
-//! Every builder allocates through the server (quota-checked, wear-aware
-//! placement) and stores through the server (recorded in the replay
+//! Every builder allocates through the server (quota-checked, on the
+//! tenant's home channel) and stores through the server (recorded in the replay
 //! log), so a fresh system replaying the logs reproduces the served
 //! run's bits, statistics and fault-ledger exactly.
 
@@ -86,7 +86,7 @@ fn random_bits(rng: &mut SimRng, len: u64) -> Vec<bool> {
 }
 
 /// Registers every spec'd tenant on `server`, allocates and stores its
-/// data (quota-checked, wear-aware, replay-logged), and builds its
+/// data (quota-checked, on its home channel, replay-logged), and builds its
 /// submission stream. Deterministic in `seed` and the spec order.
 ///
 /// # Errors

@@ -60,7 +60,9 @@ fn sustained_session(count: usize, bits: u64, rounds: usize) -> f64 {
 /// tenant, the round's requests as one shared slab, bounded admission
 /// queues and the deficit scheduler between the stream and the session.
 /// What this column shows is the serving layer's overhead (or lack of
-/// it) on top of the raw pooled session.
+/// it) on top of the raw pooled session. Its groups all share the one
+/// tenant's home channel, where the session column's rotate over every
+/// channel: the server spreads tenants, not one tenant's groups.
 fn sustained_serve(count: usize, bits: u64, rounds: usize) -> f64 {
     let mut server = PimServer::new(
         streaming_system(),

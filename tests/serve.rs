@@ -2,11 +2,12 @@
 //! tenants over a multi-channel memory with bit/stats/ledger parity
 //! against serial execution of the exact same streams, determinism
 //! across 1/2/4 workers, quota-exceeded and queue-full rejection paths,
-//! and wear-aware placement steering allocations off hot channels.
+//! wear-aware home channels steering tenants off hot channels, and
+//! home-channel placement keeping every served op in memory.
 
 use pinatubo_bench::parity::assert_stats_match;
-use pinatubo_core::{BitwiseOp, PinatuboConfig};
-use pinatubo_mem::{MemConfig, ReliabilityConfig};
+use pinatubo_core::{BitwiseOp, OpClass, PinatuboConfig};
+use pinatubo_mem::{MemConfig, MemGeometry, ReliabilityConfig};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::yield_analysis::VariationModel;
 use pinatubo_runtime::microcode::{CompileOptions, MicroBatchError, MicroProgram};
@@ -361,8 +362,6 @@ fn wear_aware_placement_avoids_the_hot_channel() {
             );
         }
     }
-    // Subsequent allocations balance across the remaining cold channels
-    // instead of piling onto one.
     let more: Vec<u32> = (0..3)
         .map(|_| server.alloc_group(t, 1, 4096).expect("more")[0].rows()[0].channel)
         .collect();
@@ -370,8 +369,101 @@ fn wear_aware_placement_avoids_the_hot_channel() {
         more.iter().all(|&c| c != hot_channel),
         "cold channels must absorb new tenants: {more:?}"
     );
+    // Every allocation of one tenant shares its reported home channel.
+    let home = server.report().tenants[t.0]
+        .home_channel
+        .expect("fresh has a home");
+    for c in placed
+        .iter()
+        .flat_map(|v| v.rows())
+        .map(|r| r.channel)
+        .chain(more.iter().copied())
+    {
+        assert_eq!(c, home, "fresh's data must stay on its home channel");
+    }
+    // New tenants are homed on cold channels, spread by placed rows.
+    let homes: Vec<u32> = (0..3)
+        .map(|i| {
+            let t = server.register(TenantConfig {
+                name: format!("new-{i}"),
+                weight: 1,
+                row_quota: 64,
+            });
+            let v = server.alloc_group(t, 1, 4096).expect("new tenant");
+            let home = server.report().tenants[t.0].home_channel;
+            assert_eq!(home, Some(v[0].rows()[0].channel));
+            home.expect("homed")
+        })
+        .collect();
     assert!(
-        more.windows(2).any(|w| w[0] != w[1]) || more.len() < 2,
-        "allocation pressure must spread over cold channels: {more:?}"
+        homes.iter().all(|&c| c != hot_channel),
+        "new tenants must be homed on cold channels: {homes:?}"
     );
+    assert_ne!(
+        homes[0], homes[1],
+        "new tenants must spread over cold channels: {homes:?}"
+    );
+}
+
+#[test]
+fn a_group_too_big_for_its_home_moves_whole_and_counts_a_spill() {
+    // 2 channels × 4 rows, as in the allocator's channel-fill tests.
+    let mut mem = MemConfig::pcm_default();
+    mem.geometry = MemGeometry {
+        channels: 2,
+        ranks_per_channel: 1,
+        banks_per_chip: 1,
+        subarrays_per_bank: 1,
+        rows_per_subarray: 4,
+        ..mem.geometry
+    };
+    let mut server = PimServer::new(sys(mem), ServeConfig::default());
+    let t = server.register(TenantConfig {
+        name: "tight".into(),
+        weight: 1,
+        row_quota: 8,
+    });
+    let channels = |g: Vec<PimBitVec>| g.iter().map(|v| v.rows()[0].channel).collect::<Vec<_>>();
+    let first = server.alloc_group(t, 3, 64).expect("fits");
+    assert_eq!(channels(first), [0; 3]);
+    // One free row left at home: the pair moves whole to channel 1.
+    let pair = server.alloc_group(t, 2, 64).expect("moves");
+    assert_eq!(channels(pair), [1; 2]);
+    let report = &server.report().tenants[t.0];
+    assert_eq!(report.home_channel, Some(0));
+    assert_eq!(report.spilled_allocations, 1);
+    // A group that fits the home lands there and is no spill.
+    let one = server.alloc_group(t, 1, 64).expect("home");
+    assert_eq!(channels(one), [0]);
+    assert_eq!(server.report().tenants[t.0].spilled_allocations, 1);
+}
+
+#[test]
+fn every_request_of_the_serve_mix_runs_in_memory() {
+    let mut server = PimServer::new(sys(MemConfig::pcm_default()), ServeConfig::default());
+    let streams =
+        workload::build_streams(&mut server, &tenant_specs(64), 0xD15C).expect("build streams");
+    let mut checked = 0usize;
+    for (stream, tenant) in streams.iter().zip(&server.report().tenants) {
+        assert_eq!(tenant.spilled_allocations, 0, "{}", tenant.name);
+        for r in stream.batches.iter().flat_map(|slab| slab.iter()) {
+            for (i, dst_row) in r.dst.rows().iter().enumerate() {
+                let rows: Vec<_> = r
+                    .operands
+                    .iter()
+                    .map(|v| v.rows()[i])
+                    .chain([*dst_row])
+                    .collect();
+                let class = OpClass::classify(&rows);
+                assert!(
+                    class.is_in_memory(),
+                    "{}: {:?} over {rows:?} is {class}",
+                    tenant.name,
+                    r.op
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 1000, "the mix must dispatch work: {checked}");
 }
