@@ -455,6 +455,7 @@ pub fn run_database_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinatubo_core::OpClass;
     use pinatubo_runtime::MappingPolicy;
 
     fn small_spec() -> TableSpec {
@@ -549,6 +550,42 @@ mod tests {
         }
         // Predicate masks and comparator scratch are per-query: the free
         // pool must round-trip across the whole batch.
+        assert_eq!(s.allocator().free_rows(), free_before);
+    }
+
+    #[test]
+    fn repeated_pushdowns_reuse_rows_and_stay_intra_subarray() {
+        let mut s = sys();
+        let spec = TableSpec {
+            rows: 1 << 14,
+            ..TableSpec::star_like()
+        };
+        let index = BitmapIndex::build(spec, &mut s).expect("build");
+        let column = ValueColumn::build(
+            ValueColumn::synthetic_values(spec.rows, 12, 0xC2),
+            12,
+            &mut s,
+        )
+        .expect("column");
+        let free_before = s.allocator().free_rows();
+        let mut rng = SimRng::seed_from_u64(13);
+        for i in 0..400 {
+            let q = Query::random(index.spec(), &mut rng);
+            let ops_before = s.trace().len();
+            let got = index
+                .run_query_filtered(&q, &column, 2600, &mut s)
+                .expect("pushdown")
+                .count;
+            // Each pushdown's mask and comparator scratch land on the rows
+            // the previous one released, beside the index.
+            let left = s.trace()[ops_before..]
+                .iter()
+                .find(|op| op.locality != OpClass::IntraSubarray);
+            assert!(left.is_none(), "pushdown {i} left the subarray: {left:?}");
+            if i % 50 == 0 {
+                assert_eq!(got, index.count_reference_filtered(&q, &column, 2600));
+            }
+        }
         assert_eq!(s.allocator().free_rows(), free_before);
     }
 

@@ -42,6 +42,7 @@ use pinatubo_nvm::sense_amp::{CurrentSenseAmp, SenseMode};
 use pinatubo_nvm::technology::Technology;
 use pinatubo_nvm::timing::TimingParams;
 use pinatubo_nvm::write_driver::WriteSource;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Which analysis bounds the widest OR the protected sense path will issue
@@ -415,13 +416,29 @@ impl MainMemory {
     /// setup data must really be in the array for later senses to mean
     /// anything.
     pub fn poke_row(&mut self, addr: RowAddr, data: &RowData) -> Result<(), MemError> {
+        self.poke(addr, Cow::Borrowed(data))
+    }
+
+    /// [`MainMemory::poke_row`] taking the image by value: a caller that
+    /// built the row only to store it hands it over instead of having it
+    /// cloned.
+    ///
+    /// # Errors
+    ///
+    /// As [`MainMemory::poke_row`].
+    pub fn poke_row_owned(&mut self, addr: RowAddr, data: RowData) -> Result<(), MemError> {
+        self.poke(addr, Cow::Owned(data))
+    }
+
+    fn poke(&mut self, addr: RowAddr, data: Cow<'_, RowData>) -> Result<(), MemError> {
         self.validate_addr(addr)?;
         self.validate_cols(data.len_bits())?;
         if self.fault.is_empty() {
-            self.store(addr, data.clone());
-            self.record_protection(addr, data);
+            self.record_protection(addr, &data);
+            self.store(addr, data.into_owned());
             return Ok(());
         }
+        let data = data.as_ref();
         // Setup DMA still goes through the physical write path (the image
         // must land on the real, possibly defective cells) but charges no
         // time/energy/wear; the retry loop models the DMA engine's own

@@ -5,6 +5,13 @@
 //! process inter-row operations" (§5). The allocator therefore hands out
 //! whole rows; a vector longer than one row gets a sequence of rows
 //! (segments) that the driver operates on serially.
+//!
+//! `pim_free` means reuse: releasing rows moves the placement cursor back
+//! to the lowest row freed, so a workload that allocates and frees
+//! transient masks and scratch keeps landing on the same few rows (and
+//! the same subarray as its operands) instead of walking across the
+//! device. A group that fits a subarray takes the first run of free rows
+//! at or after the cursor that holds it whole inside one subarray.
 
 use crate::bitvec::PimBitVec;
 use crate::mapping::MappingPolicy;
@@ -130,27 +137,6 @@ impl PimAllocator {
         }
     }
 
-    /// Rounds the active policy cursor up to the next page boundary.
-    /// Channel bases are whole numbers of subarrays, and subarrays are
-    /// whole numbers of pages, so aligning the linear index aligns the
-    /// channel-relative index too.
-    fn align_cursor_to_page(&mut self) {
-        let page = u64::from(pinatubo_mem::ROWS_PER_PAGE);
-        match self.policy {
-            MappingPolicy::SubarrayFirst => {
-                self.cursor = (self.cursor.div_ceil(page) * page) % self.geometry.total_rows();
-            }
-            MappingPolicy::ChannelRotate => {
-                let per_channel = self.rows_per_channel();
-                let base = self.rotate_channel as u64 * per_channel;
-                let cursor = self.channel_cursors[self.rotate_channel];
-                let aligned = cursor.div_ceil(page) * page;
-                self.channel_cursors[self.rotate_channel] = base + ((aligned - base) % per_channel);
-            }
-            _ => {}
-        }
-    }
-
     /// Rows not yet allocated.
     #[must_use]
     pub fn free_rows(&self) -> u64 {
@@ -226,8 +212,11 @@ impl PimAllocator {
 
     /// Returns rows to the free pool (`pim_free`): scratch released by a
     /// µ-program batch or an application error path becomes allocatable
-    /// again, so [`PimAllocator::free_rows`] round-trips. Rows retired for
-    /// endurance stay retired — release never resurrects them.
+    /// again, so [`PimAllocator::free_rows`] round-trips. Freed rows are
+    /// reused first: the placement cursor moves back to the lowest row
+    /// freed (under `ChannelRotate`, that row's channel cursor), so the
+    /// next allocation takes it again. Rows retired for endurance stay
+    /// retired — release never resurrects them.
     ///
     /// Returns how many rows were actually released.
     pub fn release_rows(&mut self, rows: &[RowAddr]) -> usize {
@@ -239,9 +228,24 @@ impl PimAllocator {
             let linear = row.to_linear(&self.geometry);
             if !self.retired.contains(&linear) && self.mark_free(linear) {
                 released += 1;
+                self.rewind_to(linear);
             }
         }
         released
+    }
+
+    /// Moves the cursor that would place `linear` back to it, if it is
+    /// past it. `Random` redraws freed rows anyway.
+    fn rewind_to(&mut self, linear: u64) {
+        let cursor = match self.policy {
+            MappingPolicy::SubarrayFirst | MappingPolicy::BankInterleave => &mut self.cursor,
+            MappingPolicy::ChannelRotate => {
+                let c = (linear / self.rows_per_channel()) as usize;
+                &mut self.channel_cursors[c]
+            }
+            MappingPolicy::Random { .. } => return,
+        };
+        *cursor = (*cursor).min(linear);
     }
 
     /// Allocates a bit-vector of `len_bits` (the `pim_malloc` entry point).
@@ -273,8 +277,13 @@ impl PimAllocator {
     ///
     /// This is the paper's PIM-aware OS placement (§5: memory management
     /// "maximizes the opportunity for calling intra-subarray operations").
-    /// Groups bigger than a subarray, or non-`SubarrayFirst` policies,
-    /// degrade gracefully to per-vector allocation.
+    /// Under `SubarrayFirst` and `ChannelRotate` the group takes the first
+    /// run of free rows at or after the cursor that holds it whole inside
+    /// one subarray (starting on a page boundary when
+    /// [`PimAllocator::set_page_aligned_groups`] is on), so rows released
+    /// below the cursor are refilled without splitting the group. Groups
+    /// bigger than a subarray, or other policies, degrade gracefully to
+    /// per-vector allocation.
     ///
     /// # Errors
     ///
@@ -287,55 +296,80 @@ impl PimAllocator {
         if len_bits == 0 {
             return Err(RuntimeError::EmptyAllocation);
         }
-        let rows_per_vector = len_bits.div_ceil(self.geometry.logical_row_bits());
-        let group_rows = rows_per_vector * count as u64;
-        let sub_rows = u64::from(self.geometry.rows_per_subarray);
-        let fits_subarray = group_rows <= sub_rows;
-        if self.policy == MappingPolicy::ChannelRotate {
-            // A group that straddles channels would send every op over it
-            // across the DDR bus, so it moves whole to a channel with room.
-            self.rotate_to_fit(group_rows);
-        }
-        if self.page_aligned_groups {
-            // Align before the straddle check: a subarray is a whole
-            // number of pages, so a straddle skip keeps the alignment.
-            self.align_cursor_to_page();
-        }
+        let group_rows = len_bits.div_ceil(self.geometry.logical_row_bits()) * count as u64;
         match self.policy {
-            MappingPolicy::SubarrayFirst if fits_subarray => {
-                // Skip to the next subarray boundary if the group would
-                // straddle one.
-                let used_in_subarray = self.cursor % sub_rows;
-                if used_in_subarray + group_rows > sub_rows {
-                    let skip_to = (self.cursor / sub_rows + 1) * sub_rows;
-                    self.cursor = skip_to % self.geometry.total_rows();
+            MappingPolicy::SubarrayFirst => {
+                let total = self.geometry.total_rows();
+                if let Some(start) = self.find_run(0, total, self.cursor, group_rows) {
+                    self.cursor = start;
                 }
+                self.alloc_many(count, len_bits)
             }
             MappingPolicy::ChannelRotate => {
-                if fits_subarray {
-                    // Same boundary skip, but on the current channel's
-                    // cursor (each channel's row range is a whole number
-                    // of subarrays, so `% sub_rows` is subarray-relative
-                    // there too).
-                    let per_channel = self.rows_per_channel();
-                    let base = self.rotate_channel as u64 * per_channel;
-                    let cursor = self.channel_cursors[self.rotate_channel];
-                    let used_in_subarray = cursor % sub_rows;
-                    if used_in_subarray + group_rows > sub_rows {
-                        let skip_to = (cursor / sub_rows + 1) * sub_rows;
-                        self.channel_cursors[self.rotate_channel] =
-                            base + ((skip_to - base) % per_channel);
-                    }
+                // A group that straddles channels would send every op over
+                // it across the DDR bus, so it moves whole to a channel
+                // with room.
+                self.rotate_to_fit(group_rows);
+                let c = self.rotate_channel;
+                let per_channel = self.rows_per_channel();
+                let base = c as u64 * per_channel;
+                if let Some(start) =
+                    self.find_run(base, per_channel, self.channel_cursors[c], group_rows)
+                {
+                    self.channel_cursors[c] = start;
                 }
                 let group = self.alloc_many(count, len_bits);
                 // The next group lands on the next channel, so independent
                 // batch requests spread across channels.
                 self.rotate_channel = (self.rotate_channel + 1) % self.geometry.channels as usize;
-                return group;
+                group
             }
-            _ => {}
+            _ => self.alloc_many(count, len_bits),
         }
-        self.alloc_many(count, len_bits)
+    }
+
+    /// Where a group of `rows` rows starts inside the row range
+    /// `base..base + span` (a whole number of subarrays): the first row at
+    /// or after `from`, wrapping once past the end of the range, that
+    /// begins a run of `rows` free rows inside one subarray, on a page
+    /// boundary when groups are page-aligned. A group bigger than a
+    /// subarray cannot fit one and takes the first free (aligned) row.
+    /// `None` when no such run exists; the cursor then stays put and the
+    /// group fills free rows one by one.
+    fn find_run(&self, base: u64, span: u64, from: u64, rows: u64) -> Option<u64> {
+        let sub_rows = u64::from(self.geometry.rows_per_subarray);
+        let (need, whole) = if rows <= sub_rows {
+            (rows, true)
+        } else {
+            (1, false)
+        };
+        let step = if self.page_aligned_groups {
+            u64::from(pinatubo_mem::ROWS_PER_PAGE)
+        } else {
+            1
+        };
+        // Candidate starts in `lo..hi`, range-relative. A subarray is a
+        // whole number of pages, so a jump to the next subarray keeps the
+        // alignment.
+        let scan = |lo: u64, hi: u64| {
+            let mut p = lo.div_ceil(step) * step;
+            while p < hi && p + need <= span {
+                if whole && p % sub_rows + need > sub_rows {
+                    p = (p / sub_rows + 1) * sub_rows;
+                    continue;
+                }
+                match (p..p + need)
+                    .rev()
+                    .find(|&r| self.used.contains(&(base + r)))
+                {
+                    Some(r) => p = (r + 1).div_ceil(step) * step,
+                    None => return Some(base + p),
+                }
+            }
+            None
+        };
+        let from = from - base;
+        scan(from, span).or_else(|| scan(0, from))
     }
 
     /// Allocates `width_bits` bit-planes of `lanes` bits each — the
@@ -491,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_never_reused() {
+    fn a_live_row_is_never_handed_out_twice() {
         let mut a = alloc(MappingPolicy::random());
         let mut seen = HashSet::new();
         for _ in 0..1000 {
@@ -699,6 +733,77 @@ mod tests {
         // Double release is a no-op.
         assert_eq!(a.release_rows(v.rows()), 0);
         assert_eq!(a.free_rows(), before);
+    }
+
+    #[test]
+    fn release_and_realloc_cycles_never_raise_the_highest_row() {
+        let g = MemGeometry::pcm_default();
+        for policy in [
+            MappingPolicy::SubarrayFirst,
+            MappingPolicy::BankInterleave,
+            MappingPolicy::ChannelRotate,
+        ] {
+            let mut a = alloc(policy);
+            let free = a.free_rows();
+            // `ChannelRotate` moves each group to the next channel, so the
+            // first rotation sets the bound.
+            let warm_up = g.channels as usize;
+            let mut highest = 0;
+            for cycle in 0..1000 {
+                let v = a.alloc(64).expect("vector");
+                let group = a.alloc_group(3, 64).expect("group");
+                let top = group
+                    .iter()
+                    .chain([&v])
+                    .flat_map(|x| x.rows())
+                    .map(|r| r.to_linear(&g))
+                    .max()
+                    .expect("rows");
+                if cycle < warm_up {
+                    highest = highest.max(top);
+                } else {
+                    assert!(
+                        top <= highest,
+                        "cycle {cycle} under {policy:?} reached row {top}, past {highest}"
+                    );
+                }
+                a.release_rows(v.rows());
+                for x in &group {
+                    a.release_rows(x.rows());
+                }
+                assert_eq!(a.free_rows(), free, "free_rows must round-trip");
+            }
+        }
+    }
+
+    #[test]
+    fn a_group_skips_a_released_hole_too_small_for_it() {
+        // `BankInterleave` scatters a group's vectors by design, so only
+        // the co-locating policies are checked.
+        for policy in [MappingPolicy::SubarrayFirst, MappingPolicy::ChannelRotate] {
+            let mut a = alloc(policy);
+            let sub_rows = u64::from(MemGeometry::pcm_default().rows_per_subarray);
+            // Fill the first subarray up to its last row, then free one
+            // row near its start: the cursor moves back to that hole.
+            let filler: Vec<PimBitVec> = (0..sub_rows - 1)
+                .map(|_| a.alloc(64).expect("filler"))
+                .collect();
+            assert_eq!(a.release_rows(filler[5].rows()), 1);
+            a.set_next_channel(0);
+            let group = a.alloc_group(3, 64).expect("group");
+            let first = group[0].rows()[0];
+            for v in &group {
+                assert!(
+                    v.rows()[0].same_subarray(&first),
+                    "a group under {policy:?} must not split across the hole"
+                );
+            }
+            assert!(!first.same_subarray(&filler[0].rows()[0]));
+            // A one-row vector still fits the hole.
+            assert_eq!(a.release_rows(filler[6].rows()), 1);
+            a.set_next_channel(0);
+            assert_eq!(a.alloc(64).expect("refill").rows(), filler[6].rows());
+        }
     }
 
     #[test]

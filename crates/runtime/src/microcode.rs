@@ -32,6 +32,7 @@ use crate::scheduler::{BatchRequest, ScheduleReport};
 use crate::system::PimSystem;
 use crate::RuntimeError;
 use pinatubo_core::{ArithOp, BitwiseOp};
+use pinatubo_mem::RowData;
 use std::collections::{HashMap, HashSet};
 
 /// A bit-transposed (bit-sliced) integer vector: plane `k` holds bit `k`
@@ -95,8 +96,7 @@ impl PimSystem {
             });
         }
         for (k, plane) in vec.planes.iter().enumerate() {
-            let bits: Vec<bool> = values.iter().map(|&v| v >> k & 1 == 1).collect();
-            self.store(plane, &bits)?;
+            self.store_packed(plane, &pack_plane(values, k as u32))?;
         }
         Ok(())
     }
@@ -115,6 +115,23 @@ impl PimSystem {
         }
         out
     }
+}
+
+/// Bit-plane `k` of `values`, packed: bit `i` is bit `k` of lane
+/// `values[i]`, 64 lanes folded into each word. The one lane packer behind
+/// [`PimSystem::store_lanes`] and the serving layer's `store_lanes`.
+#[must_use]
+pub fn pack_plane(values: &[u64], k: u32) -> RowData {
+    let words = values
+        .chunks(64)
+        .map(|lanes| {
+            lanes
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &v)| w | (v >> k & 1) << i)
+        })
+        .collect();
+    RowData::from_words(words, values.len() as u64)
 }
 
 /// Where a µ-program writes its result.
@@ -1173,6 +1190,20 @@ mod tests {
             *slot = pin;
         }
         v
+    }
+
+    #[test]
+    fn pack_plane_matches_every_lane_bit() {
+        // 200 lanes: three full words and a partial one.
+        let mut rng = SimRng::seed_from_u64(0x1A4E);
+        let values: Vec<u64> = (0..200).map(|_| rng.gen_range_u64(0, 1 << 12)).collect();
+        for k in 0..12 {
+            let plane = pack_plane(&values, k);
+            assert_eq!(plane.len_bits(), 200);
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(plane.get(i as u64), v >> k & 1 == 1, "lane {i} bit {k}");
+            }
+        }
     }
 
     #[test]

@@ -191,38 +191,52 @@ impl PimSystem {
     /// [`RuntimeError::StoreTooLong`] if more bits are offered than the
     /// vector holds.
     pub fn store(&mut self, vec: &PimBitVec, bits: &[bool]) -> Result<(), RuntimeError> {
-        if bits.len() as u64 > vec.len_bits() {
+        self.store_packed(vec, &RowData::from_bits(bits))
+    }
+
+    /// [`PimSystem::store`] from packed bits, the one store path: the
+    /// first `bits.len_bits()` bits of `vec` take `bits`, one copy per
+    /// row segment. A store shorter than the vector leaves the segments
+    /// past its end untouched and zero-fills the rest of the segment it
+    /// ends in.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::StoreTooLong`] if more bits are offered than the
+    /// vector holds.
+    pub fn store_packed(&mut self, vec: &PimBitVec, bits: &RowData) -> Result<(), RuntimeError> {
+        let len = bits.len_bits();
+        if len > vec.len_bits() {
             return Err(RuntimeError::StoreTooLong {
                 capacity_bits: vec.len_bits(),
-                got_bits: bits.len() as u64,
+                got_bits: len,
             });
         }
         let row_bits = self.row_bits();
         for (i, row, seg_bits) in vec.segments(row_bits) {
             let start = i as u64 * row_bits;
-            let end = (start + seg_bits).min(bits.len() as u64);
-            if start >= bits.len() as u64 {
+            if start >= len {
                 break;
             }
-            let slice = &bits[start as usize..end as usize];
-            self.engine
-                .memory_mut()
-                .poke_row(row, &RowData::from_bits(slice))?;
+            let segment = bit_range(bits, start, seg_bits.min(len - start));
+            self.engine.memory_mut().poke_row_owned(row, segment)?;
         }
         Ok(())
     }
 
     /// Reads a vector's bits back (verification; uncharged, like a
-    /// simulator state dump).
+    /// simulator state dump). A row stored shorter than its segment
+    /// reads zero-extended, as the memory reads it.
     #[must_use]
     pub fn load(&self, vec: &PimBitVec) -> Vec<bool> {
         let row_bits = self.row_bits();
         let mut out = Vec::with_capacity(vec.len_bits() as usize);
         for (_, row, seg_bits) in vec.segments(row_bits) {
-            match self.engine.memory().peek_row(row) {
-                Some(data) => out.extend((0..seg_bits).map(|i| data.get(i))),
-                None => out.extend(std::iter::repeat(false).take(seg_bits as usize)),
+            let end = out.len() + seg_bits as usize;
+            if let Some(data) = self.engine.memory().peek_row(row) {
+                out.extend(data.bits(seg_bits.min(data.len_bits())));
             }
+            out.resize(end, false);
         }
         out
     }
@@ -330,6 +344,22 @@ impl PimSystem {
     pub(crate) fn row_bits(&self) -> u64 {
         self.engine.memory().geometry().logical_row_bits()
     }
+}
+
+/// Bits `start..start + len` of `bits` as a row of their own: one copy
+/// of the words, shifted into place when `start` is not word-aligned.
+fn bit_range(bits: &RowData, start: u64, len: u64) -> RowData {
+    let words = bits.as_words();
+    let first = (start / 64) as usize;
+    let span = first..first + len.div_ceil(64) as usize;
+    let shift = start % 64;
+    let out = if shift == 0 {
+        words[span].to_vec()
+    } else {
+        span.map(|w| words[w] >> shift | words.get(w + 1).map_or(0, |&hi| hi << (64 - shift)))
+            .collect()
+    };
+    RowData::from_words(out, len)
 }
 
 /// The body of [`PimSystem::bitwise`] against an explicit engine, so the
@@ -539,6 +569,63 @@ mod tests {
             s.bitwise(BitwiseOp::Or, &[&a, &a], &dst_short),
             Err(RuntimeError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn store_packed_slices_segments_like_store() {
+        let mut s = sys();
+        let row_bits = s.row_bits();
+        let len = row_bits * 2 + 17;
+        let bits: Vec<bool> = (0..len).map(|i| i % 3 == 0 || i % 7 == 0).collect();
+        let packed = s.alloc(len).expect("packed");
+        let plain = s.alloc(len).expect("plain");
+        assert_eq!(packed.rows().len(), 3);
+        s.store_packed(&packed, &RowData::from_bits(&bits))
+            .expect("store_packed");
+        s.store(&plain, &bits).expect("store");
+        assert_eq!(s.load(&packed), bits);
+        assert_eq!(s.load(&plain), bits);
+
+        // A shorter store ending mid-segment: the segment it ends in is
+        // zero-filled past its end, the segment after it keeps its bits.
+        let short: Vec<bool> = bits[..(row_bits + 40) as usize]
+            .iter()
+            .map(|b| !b)
+            .collect();
+        let mut want = short.clone();
+        want.resize((row_bits * 2) as usize, false);
+        want.extend_from_slice(&bits[(row_bits * 2) as usize..]);
+        s.store_packed(&packed, &RowData::from_bits(&short))
+            .expect("short store_packed");
+        s.store(&plain, &short).expect("short store");
+        assert_eq!(s.load(&packed), want);
+        assert_eq!(s.load(&plain), want);
+
+        let long = RowData::zeros(len + 1);
+        assert_eq!(
+            s.store_packed(&packed, &long),
+            Err(RuntimeError::StoreTooLong {
+                capacity_bits: len,
+                got_bits: len + 1
+            })
+        );
+        assert_eq!(s.load(&packed), want, "a rejected store writes nothing");
+    }
+
+    #[test]
+    fn bit_range_shifts_unaligned_starts() {
+        let bits: Vec<bool> = (0..300).map(|i| i % 5 == 0 || i % 11 == 0).collect();
+        let row = RowData::from_bits(&bits);
+        for (start, len) in [(0, 300), (64, 100), (70, 100), (63, 1), (130, 170)] {
+            let got = bit_range(&row, start, len);
+            assert_eq!(got.len_bits(), len);
+            assert_eq!(
+                got.bits(len),
+                bits[start as usize..(start + len) as usize],
+                "bits {start}..{}",
+                start + len
+            );
+        }
     }
 
     #[test]

@@ -65,5 +65,5 @@ pub mod stats;
 pub mod workload;
 
 pub use server::{PimServer, ServeConfig, ServeError, ServeSession, TenantConfig, TenantId};
-pub use stats::{DispatchRecord, LatencyStats, ServeReport, TenantReport};
+pub use stats::{DispatchRecord, LatencyStats, ServeReport, StoreRecord, TenantReport};
 pub use workload::{TenantKind, TenantSpec, TenantStream};

@@ -12,11 +12,12 @@
 //! its µ-programs, lands there too, so every op a tenant submits runs
 //! inside one channel instead of crossing the DDR bus (paper §4.1, §5).
 
-use crate::stats::{DispatchRecord, LatencyStats, ServeReport, TenantReport};
+use crate::stats::{DispatchRecord, LatencyStats, ServeReport, StoreRecord, TenantReport};
+use pinatubo_mem::RowData;
 use pinatubo_runtime::microcode::{self, CompileOptions, MicroProgram};
 use pinatubo_runtime::scheduler::BatchRequest;
 use pinatubo_runtime::{ExecSession, PimBitVec, PimSystem, RuntimeError, TransposedVec};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -89,6 +90,14 @@ pub enum ServeError {
         /// The contract's limit.
         quota_rows: u64,
     },
+    /// A release named a vector the tenant does not hold: another
+    /// tenant's, or one it already released.
+    NotOwned {
+        /// The releasing tenant's name.
+        tenant: String,
+        /// Allocation id of the first vector it does not hold.
+        vec_id: u64,
+    },
     /// Admitting the batch would overflow a channel's submission queue.
     QueueFull {
         /// The saturated channel.
@@ -115,6 +124,9 @@ impl fmt::Display for ServeError {
                 f,
                 "tenant {tenant} over row quota: holds {used_rows}, wants {requested_rows} more, quota {quota_rows}"
             ),
+            ServeError::NotOwned { tenant, vec_id } => {
+                write!(f, "tenant {tenant} does not hold vector {vec_id}")
+            }
             ServeError::QueueFull {
                 channel,
                 depth,
@@ -163,6 +175,9 @@ struct Tenant {
     weight: u64,
     row_quota: u64,
     rows_used: u64,
+    /// Ids of the vectors placed for this tenant and not yet released:
+    /// the only vectors [`PimServer::release`] frees for it.
+    held: HashSet<u64>,
     /// The channel every placement is steered to: where the first one
     /// landed.
     home: Option<u32>,
@@ -218,7 +233,7 @@ struct ServeState {
     channel_high_water: Vec<usize>,
     rounds: u64,
     dispatch_log: Vec<DispatchRecord>,
-    store_log: Vec<(PimBitVec, Vec<bool>)>,
+    store_log: Vec<StoreRecord>,
 }
 
 impl ServeState {
@@ -436,35 +451,47 @@ impl PimServer {
     }
 
     /// Releases a tenant's vectors back to the pool and refunds the
-    /// quota by the rows actually freed.
+    /// quota by the rows freed. A tenant may release only vectors placed
+    /// for it and not yet released; the next placement reuses their rows
+    /// (see [`pinatubo_runtime::PimAllocator::release_rows`]).
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownTenant`] on a stale handle.
+    /// [`ServeError::UnknownTenant`] on a stale handle;
+    /// [`ServeError::NotOwned`] if any vector is not held by `t` (another
+    /// tenant's, or named twice) — then nothing is freed.
     pub fn release(&mut self, t: TenantId, vecs: &[PimBitVec]) -> Result<u64, ServeError> {
-        self.state.tenant_mut(t)?;
+        let tenant = self.state.tenant_mut(t)?;
+        let mut named = HashSet::with_capacity(vecs.len());
         for v in vecs {
-            for r in v.rows() {
-                self.state.rows_on_channel[r.channel as usize] =
-                    self.state.rows_on_channel[r.channel as usize].saturating_sub(1);
+            if !tenant.held.contains(&v.id()) || !named.insert(v.id()) {
+                return Err(ServeError::NotOwned {
+                    tenant: tenant.name.clone(),
+                    vec_id: v.id(),
+                });
             }
         }
-        let freed = self.system.release_vecs(vecs.iter()) as u64;
-        let tenant = &mut self.state.tenants[t.0];
-        tenant.rows_used = tenant.rows_used.saturating_sub(freed);
+        for id in &named {
+            tenant.held.remove(id);
+        }
+        // A held vector's rows are live and placed by this server, so
+        // every one of them is freed.
+        for r in vecs.iter().flat_map(PimBitVec::rows) {
+            self.state.rows_on_channel[r.channel as usize] -= 1;
+        }
+        let freed = self.system.release_vecs(vecs) as u64;
+        self.state.tenants[t.0].rows_used -= freed;
         Ok(freed)
     }
 
     /// Stores bits into a vector (uncharged setup traffic) and records
-    /// the write in the replay log for serial parity harnesses.
+    /// the write, packed, in the replay log.
     ///
     /// # Errors
     ///
     /// See [`PimSystem::store`].
     pub fn store(&mut self, vec: &PimBitVec, bits: &[bool]) -> Result<(), ServeError> {
-        self.system.store(vec, bits)?;
-        self.state.store_log.push((vec.clone(), bits.to_vec()));
-        Ok(())
+        self.store_and_log(vec, RowData::from_bits(bits))
     }
 
     /// Stores integer lanes into a transposed vector, recording each
@@ -475,9 +502,18 @@ impl PimServer {
     /// See [`PimSystem::store_lanes`].
     pub fn store_lanes(&mut self, vec: &TransposedVec, values: &[u64]) -> Result<(), ServeError> {
         for (k, plane) in vec.planes().iter().enumerate() {
-            let bits: Vec<bool> = values.iter().map(|&v| v >> k & 1 == 1).collect();
-            self.store(plane, &bits)?;
+            self.store_and_log(plane, microcode::pack_plane(values, k as u32))?;
         }
+        Ok(())
+    }
+
+    fn store_and_log(&mut self, vec: &PimBitVec, bits: RowData) -> Result<(), ServeError> {
+        self.system.store_packed(vec, &bits)?;
+        self.state.store_log.push(StoreRecord {
+            vec: vec.clone(),
+            bits,
+            dispatched_before: self.state.dispatch_log.len(),
+        });
         Ok(())
     }
 
@@ -487,9 +523,10 @@ impl PimServer {
         &self.system
     }
 
-    /// The recorded setup stores, in order (serial-replay input).
+    /// Every store so far, in store order, each with its packed bits and
+    /// its position among the dispatches (serial-replay input).
     #[must_use]
-    pub fn store_log(&self) -> &[(PimBitVec, Vec<bool>)] {
+    pub fn store_log(&self) -> &[StoreRecord] {
         &self.state.store_log
     }
 
@@ -556,6 +593,9 @@ impl PimServer {
         tenant.rows_used += actual;
         tenant.home = home;
         tenant.spilled_allocations += u64::from(spilled);
+        tenant
+            .held
+            .extend(planes(&placed).iter().map(PimBitVec::id));
         Ok(placed)
     }
 }

@@ -2,7 +2,9 @@
 //! replayable logs a correctness harness needs to reproduce a served run
 //! serially.
 
+use pinatubo_mem::RowData;
 use pinatubo_runtime::scheduler::BatchRequest;
+use pinatubo_runtime::PimBitVec;
 use std::sync::Arc;
 
 /// Latency percentiles over one tenant's per-batch samples (admission to
@@ -124,6 +126,19 @@ pub struct DispatchRecord {
     pub tenant: usize,
     /// The dispatched requests.
     pub requests: Arc<Vec<BatchRequest>>,
+}
+
+/// One store through the server, in store order: the other
+/// serial-replay unit.
+#[derive(Debug, Clone)]
+pub struct StoreRecord {
+    /// The vector written.
+    pub vec: PimBitVec,
+    /// The bits written, packed.
+    pub bits: RowData,
+    /// Batches dispatched before the store ran: replay applies it after
+    /// dispatch record `dispatched_before - 1` and before the next one.
+    pub dispatched_before: usize,
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@
 //! run's bits, statistics and fault-ledger exactly.
 
 use crate::server::{PimServer, ServeError, TenantConfig, TenantId};
-use crate::stats::DispatchRecord;
+use crate::stats::{DispatchRecord, StoreRecord};
 use pinatubo_core::rng::SimRng;
 use pinatubo_core::{ArithOp, BitwiseOp};
 use pinatubo_runtime::microcode::{CompileOptions, MicroProgram};
 use pinatubo_runtime::scheduler::BatchRequest;
-use pinatubo_runtime::{PimBitVec, PimSystem};
+use pinatubo_runtime::PimSystem;
 use std::sync::Arc;
 
 /// The op-stream shapes tenants submit.
@@ -247,25 +247,29 @@ fn build_intvec(
         .collect())
 }
 
-/// Serially re-executes a served run on `reference`: replays the
-/// recorded stores, then each dispatched batch in dispatch order through
-/// [`PimSystem::execute_batch_serial`]. With the same memory config the
-/// reference ends bit- and ledger-identical to the served system, which
-/// is exactly what the parity checks assert.
+/// Serially re-executes a served run on `reference`: each recorded
+/// store, packed, at its place among the dispatched batches (before the
+/// first dispatch that followed it), and each dispatched batch in
+/// dispatch order through [`PimSystem::execute_batch_serial`]. With the
+/// same memory config the reference ends bit- and ledger-identical to
+/// the served system, which is exactly what the parity checks assert.
 ///
 /// # Errors
 ///
 /// Any store or execution error on the reference system.
 pub fn replay_serial(
     reference: &mut PimSystem,
-    stores: &[(PimBitVec, Vec<bool>)],
+    stores: &[StoreRecord],
     dispatches: &[DispatchRecord],
 ) -> Result<(), ServeError> {
-    for (vec, bits) in stores {
-        reference.store(vec, bits)?;
-    }
-    for record in dispatches {
-        reference.execute_batch_serial(&record.requests)?;
+    let mut stores = stores.iter().peekable();
+    for i in 0..=dispatches.len() {
+        while let Some(store) = stores.next_if(|s| s.dispatched_before <= i) {
+            reference.store_packed(&store.vec, &store.bits)?;
+        }
+        if let Some(record) = dispatches.get(i) {
+            reference.execute_batch_serial(&record.requests)?;
+        }
     }
     Ok(())
 }

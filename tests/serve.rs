@@ -244,6 +244,101 @@ fn quota_exceeded_rejects_and_releasing_rows_recovers() {
 }
 
 #[test]
+fn a_tenant_releases_only_the_vectors_it_holds() {
+    let mut server = PimServer::new(sys(MemConfig::pcm_default()), ServeConfig::default());
+    let quota = TenantConfig {
+        name: "a".into(),
+        weight: 1,
+        row_quota: 8,
+    };
+    let a = server.register(quota.clone());
+    let b = server.register(TenantConfig {
+        name: "b".into(),
+        ..quota
+    });
+    let a_group = server.alloc_group(a, 2, 64).expect("a's group");
+    let b_group = server.alloc_group(b, 1, 64).expect("b's group");
+    let free = server.system().allocator().free_rows();
+    let used = |server: &PimServer| {
+        let tenants = server.report().tenants;
+        (tenants[a.0].rows_used, tenants[b.0].rows_used)
+    };
+    assert_eq!(used(&server), (2, 1));
+
+    // b names a's group: refused, and nothing moves.
+    let err = server.release(b, &a_group).expect_err("foreign release");
+    assert_eq!(
+        err,
+        ServeError::NotOwned {
+            tenant: "b".into(),
+            vec_id: a_group[0].id()
+        }
+    );
+    // One foreign vector among its own fails the whole release.
+    let mixed = [b_group[0].clone(), a_group[1].clone()];
+    assert!(matches!(
+        server.release(b, &mixed),
+        Err(ServeError::NotOwned { .. })
+    ));
+    assert_eq!(server.system().allocator().free_rows(), free);
+    assert_eq!(used(&server), (2, 1));
+
+    // a's own release frees its rows once; a second release is refused.
+    assert_eq!(server.release(a, &a_group).expect("own release"), 2);
+    assert_eq!(server.system().allocator().free_rows(), free + 2);
+    assert_eq!(used(&server), (0, 1));
+    assert!(matches!(
+        server.release(a, &a_group),
+        Err(ServeError::NotOwned { .. })
+    ));
+    assert!(matches!(
+        server.release(b, &[b_group[0].clone(), b_group[0].clone()]),
+        Err(ServeError::NotOwned { .. })
+    ));
+    assert_eq!(server.system().allocator().free_rows(), free + 2);
+    assert_eq!(used(&server), (0, 1));
+}
+
+#[test]
+fn serial_replay_applies_a_store_after_the_dispatches_before_it() {
+    let bits = 256usize;
+    let mut server = PimServer::new(sys(MemConfig::pcm_default()), ServeConfig::default());
+    let t = server.register(TenantConfig {
+        name: "restore".into(),
+        weight: 1,
+        row_quota: 8,
+    });
+    let g = server.alloc_group(t, 3, bits as u64).expect("group");
+    let (a, b, dst) = (&g[0], &g[1], &g[2]);
+    let low: Vec<bool> = (0..bits).map(|i| i < bits / 2).collect();
+    let high: Vec<bool> = low.iter().map(|x| !x).collect();
+    server.store(a, &low).expect("store a");
+    server.store(b, &high).expect("store b");
+    let mut session = server.open();
+    session
+        .submit(
+            t,
+            vec![BatchRequest {
+                op: BitwiseOp::Or,
+                operands: vec![a.clone(), b.clone()],
+                dst: dst.clone(),
+            }],
+        )
+        .expect("submit");
+    session.finish().expect("finish");
+    // Re-store `a` after the session: the served `dst` keeps its bits.
+    server.store(a, &vec![false; bits]).expect("re-store a");
+    assert_eq!(server.system().count_ones(dst), bits as u64);
+
+    let mut reference = sys(MemConfig::pcm_default());
+    workload::replay_serial(&mut reference, server.store_log(), server.dispatch_log())
+        .expect("serial replay");
+    assert_eq!(reference.load(dst), server.system().load(dst));
+    assert_eq!(reference.load(a), server.system().load(a));
+    assert_stats_match("serial replay", reference.stats(), server.system().stats());
+}
+
+#[test]
 fn rejected_compiles_and_allocations_charge_nothing() {
     let mut server = PimServer::new(sys(MemConfig::pcm_default()), ServeConfig::default());
     let t = server.register(TenantConfig {
