@@ -12,7 +12,9 @@
 //! comparison column times [`workload::replay_serial`], which replays the
 //! store log and then the identical dispatch log batch by batch through
 //! [`PimSystem::execute_batch_serial`] on a fresh system — the same replay
-//! the parity checks compare against.
+//! the parity checks compare against. A third column times
+//! [`PimSystem::plan_batch`] alone over the same dispatch log: the host
+//! cost of planning one dispatched batch.
 //!
 //! ```console
 //! $ cargo run --release -p pinatubo-bench --bin bench_serve
@@ -81,6 +83,7 @@ struct MixRun {
     dispatched_batches: usize,
     pooled_bps: f64,
     serial_bps: f64,
+    plan_us_per_batch: f64,
     server: PimServer,
     reference: PimSystem,
 }
@@ -154,6 +157,13 @@ fn run_mix(
         .expect("serial replay");
     let serial_elapsed = t0.elapsed().as_secs_f64();
 
+    // Planner cost: every dispatched batch planned again, on its own.
+    let t0 = Instant::now();
+    for record in server.dispatch_log() {
+        std::hint::black_box(reference.plan_batch(&record.requests));
+    }
+    let plan_elapsed = t0.elapsed().as_secs_f64();
+
     MixRun {
         name,
         tenants,
@@ -162,6 +172,7 @@ fn run_mix(
         dispatched_batches,
         pooled_bps: dispatched_batches as f64 / pooled_elapsed,
         serial_bps: dispatched_batches as f64 / serial_elapsed,
+        plan_us_per_batch: plan_elapsed * 1e6 / dispatched_batches as f64,
         server,
         reference,
     }
@@ -236,12 +247,13 @@ fn summarize_kinds(report: &ServeReport) -> Vec<KindSummary> {
 
 fn print_row(run: &MixRun) {
     println!(
-        "{:<24} | {:>4} batches | pooled {:>8.0} b/s | serial replay {:>8.0} b/s | {:>5.2}x | {:>3} rounds | {:>4} rejections",
+        "{:<24} | {:>4} batches | pooled {:>8.0} b/s | serial replay {:>8.0} b/s | {:>5.2}x | plan {:>6.1} µs/batch | {:>3} rounds | {:>4} rejections",
         format!("{} (w={})", run.name, run.workers),
         run.dispatched_batches,
         run.pooled_bps,
         run.serial_bps,
         run.pooled_bps / run.serial_bps,
+        run.plan_us_per_batch,
         run.report.rounds,
         run.rejections(),
     );
@@ -278,6 +290,7 @@ fn row(run: &MixRun) -> Json {
         ("pooled_batches_per_s", run.pooled_bps.into()),
         ("serial_replay_batches_per_s", run.serial_bps.into()),
         ("ratio", (run.pooled_bps / run.serial_bps).into()),
+        ("plan_us_per_batch", run.plan_us_per_batch.into()),
         ("latency_by_kind", Json::Arr(kinds)),
     ])
 }
@@ -316,6 +329,7 @@ fn main() {
             .reduce(|mut best, run| {
                 best.pooled_bps = best.pooled_bps.max(run.pooled_bps);
                 best.serial_bps = best.serial_bps.max(run.serial_bps);
+                best.plan_us_per_batch = best.plan_us_per_batch.min(run.plan_us_per_batch);
                 best
             })
             .expect("at least one repetition");
@@ -353,7 +367,9 @@ fn main() {
          wall-clock serving phase (open to drain); \
          serial_replay_batches_per_s is dispatched batches over the \
          wall-clock serial replay (store log, then the identical dispatch \
-         log through execute_batch_serial) on a fresh system; each is the \
+         log through execute_batch_serial) on a fresh system; \
+         plan_us_per_batch is the wall-clock time of plan_batch over the \
+         same dispatch log, divided by dispatched batches; each is the \
          best of two runs, and every run is asserted bit- and \
          ledger-identical to a serial replay of its dispatch log. Latency \
          percentiles are nearest-rank over per-batch admission-to-sync \

@@ -216,6 +216,15 @@ pub struct ChannelTimeline {
 /// placement cost on adversarially dense ledgers.
 const MAX_SLOT_WALK: usize = 16;
 
+/// What one placement walk leaves behind: the placement, the channel
+/// bus's next free time, and the rank's GDL port free time (`None` if the
+/// port was never used).
+struct Walk {
+    placement: Placement,
+    bus_free_ns: f64,
+    gdl_free_ns: Option<f64>,
+}
+
 impl ChannelTimeline {
     /// An empty timeline (relative time zero) under `timing`.
     #[must_use]
@@ -238,15 +247,53 @@ impl ChannelTimeline {
     /// activations). The request's first command never precedes the
     /// previously placed request's first command (in-order issue).
     pub fn place(&mut self, rank: u32, bank: u32, stream: &RequestStream) -> Placement {
+        if stream.steps.is_empty() {
+            // Nothing issued, nothing reserved.
+            return Placement::default();
+        }
+        let mut acts = self.rank_acts.remove(&rank).unwrap_or_default();
+        let walk = self.walk(rank, bank, stream, &mut acts);
+        if !acts.is_empty() {
+            self.rank_acts.insert(rank, acts);
+        }
+        self.bus_free_ns = walk.bus_free_ns;
+        if let Some(free) = walk.gdl_free_ns {
+            self.gdl_free.insert(rank, free);
+        }
+        self.lane_free.insert((rank, bank), walk.placement.end_ns);
+        self.issue_ns = walk.placement.start_ns;
+        walk.placement
+    }
+
+    /// The `end_ns` that [`ChannelTimeline::place`] would return for this
+    /// stream on lane (`rank`, `bank`), without placing it: the same walk
+    /// over the timeline, run against a copy of that rank's activation
+    /// ledger only. An empty stream peeks to 0. Planners use this to rank
+    /// candidates without cloning a timeline per peek.
+    #[must_use]
+    pub fn peek_end(&self, rank: u32, bank: u32, stream: &RequestStream) -> f64 {
+        if stream.steps.is_empty() {
+            return 0.0;
+        }
+        let mut acts = self.rank_acts.get(&rank).cloned().unwrap_or_default();
+        self.walk(rank, bank, stream, &mut acts).placement.end_ns
+    }
+
+    /// The one command-interleaving walk behind [`ChannelTimeline::place`]
+    /// and [`ChannelTimeline::peek_end`]: reads the timeline, inserts the
+    /// stream's ACTs into `acts` (the rank's ledger, or a copy of it) and
+    /// returns the placement with the bus and GDL frees it leaves.
+    /// `stream` must be non-empty.
+    fn walk(&self, rank: u32, bank: u32, stream: &RequestStream, acts: &mut Vec<f64>) -> Walk {
         let lane = self.lane_free.get(&(rank, bank)).copied().unwrap_or(0.0);
         let mut chain = self.issue_ns.max(lane);
+        let mut bus_free_ns = self.bus_free_ns;
+        let mut gdl_free_ns = self.gdl_free.get(&rank).copied();
         let mut placement = Placement::default();
-        let mut first = true;
-        for step in &stream.steps {
+        for (k, step) in stream.steps.iter().enumerate() {
             let mut at = chain;
             match step.kind {
                 CmdKind::Act => {
-                    let acts = self.rank_acts.entry(rank).or_default();
                     let slot = earliest_act_slot(acts, at, &self.timing);
                     placement.act_stall_ns += slot - at;
                     at = slot;
@@ -254,36 +301,33 @@ impl ChannelTimeline {
                     acts.insert(pos, at);
                 }
                 CmdKind::Shared => {
-                    if self.bus_free_ns > at {
-                        placement.bus_wait_ns += self.bus_free_ns - at;
-                        at = self.bus_free_ns;
+                    if bus_free_ns > at {
+                        placement.bus_wait_ns += bus_free_ns - at;
+                        at = bus_free_ns;
                     }
-                    self.bus_free_ns = at + step.ns;
+                    bus_free_ns = at + step.ns;
                 }
                 CmdKind::Gdl => {
-                    let free = self.gdl_free.get(&rank).copied().unwrap_or(0.0);
+                    let free = gdl_free_ns.unwrap_or(0.0);
                     if free > at {
                         placement.bus_wait_ns += free - at;
                         at = free;
                     }
-                    self.gdl_free.insert(rank, at + step.ns);
+                    gdl_free_ns = Some(at + step.ns);
                 }
                 CmdKind::Lane => {}
             }
-            if first {
+            if k == 0 {
                 placement.start_ns = at;
-                first = false;
             }
             chain = at + step.ns;
         }
-        if first {
-            // Empty stream: nothing issued, nothing reserved.
-            return Placement::default();
-        }
         placement.end_ns = chain;
-        self.lane_free.insert((rank, bank), placement.end_ns);
-        self.issue_ns = placement.start_ns;
-        placement
+        Walk {
+            placement,
+            bus_free_ns,
+            gdl_free_ns,
+        }
     }
 
     /// Places a request as one opaque block — the request-granularity
@@ -378,16 +422,19 @@ fn slot_conflict(acts: &[f64], t: f64, timing: &TimingParams) -> Option<f64> {
     if i < acts.len() && acts[i] - t < timing.t_rrd_ns - 1e-12 {
         return Some(acts[i] + timing.t_rrd_ns);
     }
-    // Merge `t` with its four predecessors and four successors, then
-    // check every five-entry window containing it.
+    // Merge `t` with its four predecessors and four successors (at most
+    // nine entries, so on the stack), then check every five-entry window
+    // containing it.
     let lo = i.saturating_sub(4);
     let hi = (i + 4).min(acts.len());
-    let mut merged: Vec<f64> = Vec::with_capacity(hi - lo + 1);
-    merged.extend_from_slice(&acts[lo..i]);
-    let t_pos = merged.len();
-    merged.push(t);
-    merged.extend_from_slice(&acts[i..hi]);
-    for w in 0..merged.len().saturating_sub(4) {
+    let t_pos = i - lo;
+    let len = hi - lo + 1;
+    let mut merged = [0.0f64; 9];
+    merged[..t_pos].copy_from_slice(&acts[lo..i]);
+    merged[t_pos] = t;
+    merged[t_pos + 1..len].copy_from_slice(&acts[i..hi]);
+    let merged = &merged[..len];
+    for w in 0..len.saturating_sub(4) {
         if w <= t_pos && t_pos <= w + 4 {
             let span = merged[w + 4] - merged[w];
             if span < timing.t_faw_ns - 1e-12 {
@@ -644,10 +691,74 @@ mod tests {
         }
     }
 
+    /// A random charged breakdown with each mechanism present about
+    /// two times in three, so streams mix Act, Lane, Gdl and Shared steps.
+    fn random_stream(rng: &mut pinatubo_nvm::SimRng) -> RequestStream {
+        let mut ns = |hi: f64| {
+            if rng.gen_range_u64(0, 3) == 0 {
+                0.0
+            } else {
+                rng.gen_range_f64(1.0, hi)
+            }
+        };
+        let time = TimeBreakdown {
+            activate_ns: ns(400.0),
+            sense_ns: ns(200.0),
+            write_ns: ns(600.0),
+            gdl_ns: ns(100.0),
+            precharge_ns: ns(60.0),
+            stall_ns: 0.0,
+            ecc_ns: ns(20.0),
+            bus_ns: ns(300.0),
+            mrs_ns: ns(12.0),
+        };
+        RequestStream::from_breakdown(&time, rng.gen_range_u64(0, 41))
+    }
+
+    #[test]
+    fn peek_end_is_place_without_side_effects() {
+        // tRRD/tFAW tight enough that ACTs gate and slot between earlier
+        // requests' activations; up to 40 activations crosses the 32-unit
+        // cap.
+        let mut timing = t();
+        timing.t_rrd_ns = 150.0;
+        timing.t_faw_ns = 600.0;
+        for seed in 0..300u64 {
+            let mut rng = pinatubo_nvm::SimRng::seed_from_u64(seed);
+            let mut tl = ChannelTimeline::new(timing.clone());
+            for step in 0..16 {
+                let stream = random_stream(&mut rng);
+                let rank = rng.gen_range_u64(0, 2) as u32;
+                let bank = rng.gen_range_u64(0, 4) as u32;
+                let mut unpeeked = tl.clone();
+                let peeked = tl.peek_end(rank, bank, &stream);
+                let placed = tl.place(rank, bank, &stream);
+                assert_eq!(
+                    peeked.to_bits(),
+                    placed.end_ns.to_bits(),
+                    "seed {seed} step {step}: peek {peeked} vs place {}",
+                    placed.end_ns
+                );
+                assert_eq!(
+                    unpeeked.place(rank, bank, &stream),
+                    placed,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    unpeeked.completion_ns().to_bits(),
+                    tl.completion_ns().to_bits(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(unpeeked.lanes_used(), tl.lanes_used(), "seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn empty_stream_places_nothing() {
         let s = RequestStream::from_breakdown(&TimeBreakdown::default(), 0);
         let mut tl = ChannelTimeline::new(t());
+        assert_eq!(tl.peek_end(0, 0, &s), 0.0);
         assert_eq!(tl.place(0, 0, &s), Placement::default());
         assert_eq!(tl.place_fused(0, 0, &s), Placement::default());
         assert_eq!(tl.lanes_used(), 0);

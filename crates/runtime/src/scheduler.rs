@@ -42,6 +42,14 @@
 //! report charges, so the scheduler's cost and the charged makespan
 //! cannot drift apart.
 //!
+//! Planning runs on the host for every dispatched batch, so it is kept
+//! cheap without changing a single plan: each request's command stream
+//! and the dependence lists are built once per plan, candidates are
+//! peeked with [`pinatubo_mem::ChannelTimeline::peek_end`] instead of a
+//! cloned timeline, and the beam is skipped when greedy already meets a
+//! per-lane lower bound that no order can beat — the case for the
+//! single-lane slabs the serving layer dispatches.
+//!
 //! Execution is *actually* parallel, not just modeled:
 //! [`PimSystem::execute_batch`] is a one-shot [`crate::ExecSession`],
 //! which runs each channel's scheduled queue on a worker-owned channel
@@ -58,7 +66,7 @@ use pinatubo_core::{BitwiseOp, OpClass};
 use pinatubo_mem::{
     ChannelTimeline, PimConfig, ReliabilityStats, RequestStream, RowAddr, TimeBreakdown,
 };
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 /// One queued operation request.
 #[derive(Debug, Clone)]
@@ -73,28 +81,14 @@ pub struct BatchRequest {
 
 impl BatchRequest {
     /// Rows this request reads.
-    fn reads(&self) -> impl Iterator<Item = RowAddr> + '_ {
-        self.operands.iter().flat_map(|v| v.rows().iter().copied())
+    fn reads(&self) -> impl Iterator<Item = &RowAddr> {
+        self.operands.iter().flat_map(|v| v.rows())
     }
 
-    /// Rows this request writes.
-    fn writes(&self) -> impl Iterator<Item = RowAddr> + '_ {
-        self.dst.rows().iter().copied()
-    }
-
-    /// Whether `self` must stay ordered after `earlier`.
-    fn depends_on(&self, earlier: &BatchRequest) -> bool {
-        let earlier_writes: HashSet<RowAddr> = earlier.writes().collect();
-        // RAW: we read something it wrote. WAW: we write something it
-        // wrote. WAR: we write something it read.
-        if self.reads().any(|r| earlier_writes.contains(&r)) {
-            return true;
-        }
-        if self.writes().any(|w| earlier_writes.contains(&w)) {
-            return true;
-        }
-        let our_writes: HashSet<RowAddr> = self.writes().collect();
-        earlier.reads().any(|r| our_writes.contains(&r))
+    /// The lane the planner places this request on: its destination's
+    /// first row.
+    fn home(&self) -> RowAddr {
+        self.dst.rows()[0]
     }
 }
 
@@ -244,6 +238,41 @@ const BEAM_BRANCH: usize = 4;
 /// order: lookahead is O(width · branch · n²) placements and its wins
 /// concentrate in small, adversarially shaped batches.
 const BEAM_LIMIT: usize = 64;
+/// Half of the beam's 1e-9 acceptance margin: the gap to the lane bound
+/// that greedy may leave and still skip the beam, and the float rounding
+/// the bound may carry (see [`PimSystem::plan_batch`]).
+const LB_SLACK: f64 = 0.5e-9;
+
+/// The largest sum of stream totals over the requests homed on one
+/// (channel, rank, bank) lane — a makespan no order can beat — and a
+/// bound on the float rounding between that sum and any placement's
+/// chain over the same steps: each of the lane's `m` steps rounds once in
+/// either sum, so the two differ by at most `m · ε · lb`.
+fn lane_bound(requests: &[BatchRequest], streams: &[RequestStream]) -> (f64, f64) {
+    let mut lanes: BTreeMap<(u32, u32, u32), (f64, usize)> = BTreeMap::new();
+    for (request, stream) in requests.iter().zip(streams) {
+        let home = request.home();
+        let lane = lanes
+            .entry((home.channel, home.rank, home.bank))
+            .or_default();
+        lane.0 += stream.total_ns();
+        lane.1 += stream.steps().len();
+    }
+    lanes
+        .into_values()
+        .map(|(total, steps)| (total, steps as f64 * f64::EPSILON * total))
+        .fold(
+            (0.0, 0.0),
+            |best, lane| if lane.0 > best.0 { lane } else { best },
+        )
+}
+
+/// Whether a greedy order scoring `g` provably leaves the beam nothing to
+/// win (the skip rule of [`PimSystem::plan_batch`]).
+fn meets_lane_bound(g: f64, requests: &[BatchRequest], streams: &[RequestStream]) -> bool {
+    let (lb, rounding) = lane_bound(requests, streams);
+    rounding <= LB_SLACK && g <= lb + LB_SLACK
+}
 
 impl PimSystem {
     /// Analytic estimate of one request's charged cost, as the same
@@ -307,25 +336,44 @@ impl PimSystem {
         (time, activations)
     }
 
-    /// The estimated command stream of one request (see
-    /// [`PimSystem::estimate_request`]).
-    fn request_stream(&self, request: &BatchRequest) -> RequestStream {
-        let (time, activations) = self.estimate_request(request);
-        RequestStream::from_breakdown(&time, activations)
+    /// Every request's estimated command stream (see
+    /// [`PimSystem::estimate_request`]), in request order.
+    fn request_streams(&self, requests: &[BatchRequest]) -> Vec<RequestStream> {
+        requests
+            .iter()
+            .map(|r| {
+                let (time, activations) = self.estimate_request(r);
+                RequestStream::from_breakdown(&time, activations)
+            })
+            .collect()
     }
 
-    /// RAW/WAW/WAR predecessors of each request (indices `< i`).
+    /// RAW/WAW/WAR predecessors of each request (indices `< i`). Each
+    /// request's written rows are collected and sorted once, so every
+    /// pair is a handful of binary searches.
     fn dependences(requests: &[BatchRequest]) -> Vec<Vec<usize>> {
-        let n = requests.len();
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in 0..i {
-                if requests[i].depends_on(&requests[j]) {
-                    deps[i].push(j);
-                }
-            }
-        }
-        deps
+        let writes: Vec<Vec<RowAddr>> = requests
+            .iter()
+            .map(|r| {
+                let mut rows = r.dst.rows().to_vec();
+                rows.sort_unstable();
+                rows
+            })
+            .collect();
+        let writes_row = |i: usize, row: &RowAddr| writes[i].binary_search(row).is_ok();
+        (0..requests.len())
+            .map(|i| {
+                (0..i)
+                    .filter(|&j| {
+                        // RAW: i reads a row j wrote. WAW: i writes a row j
+                        // wrote. WAR: i writes a row j read.
+                        requests[i].reads().any(|r| writes_row(j, r))
+                            || writes[i].iter().any(|w| writes_row(j, w))
+                            || requests[j].reads().any(|r| writes_row(i, r))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Fresh per-channel command timelines for planning.
@@ -341,15 +389,37 @@ impl PimSystem {
     /// schedule over the dependence-ready set runs first, dispatching at
     /// every step the candidate whose command stream would *finish*
     /// earliest on the per-channel timelines (the same command-granularity
-    /// model [`MakespanReport`] accounts). For batches of at most
+    /// model [`MakespanReport`] accounts). For batches of 3 to
     /// `BEAM_LIMIT` (64) requests, a bounded-lookahead beam search
     /// (`BEAM_WIDTH` = 4 partial schedules, `BEAM_BRANCH` = 4-way branching
     /// over the earliest-finishing ready candidates plus a
     /// longest-remaining injection) then tries to beat the greedy order;
     /// the greedy order is the incumbent and is returned unless the beam's
-    /// best order is *strictly* better under
-    /// [`PimSystem::planned_makespan_ns`] — the plan is never worse than
-    /// greedy.
+    /// best order is *strictly* better — by more than 1e-9 ns — under
+    /// [`PimSystem::planned_makespan_ns`], so the plan is never worse than
+    /// greedy. Batches of one or two requests never run the beam.
+    ///
+    /// The beam is skipped when it provably cannot win. Let `lb` be the
+    /// largest sum of stream `total_ns` over the requests homed on any one
+    /// (channel, rank, bank) lane. Both placements a score takes the
+    /// better of ([`ChannelTimeline::place`] and
+    /// [`ChannelTimeline::place_fused`]) start a request no earlier than
+    /// its lane's previous end and run it for at least its `total_ns`, so
+    /// in exact arithmetic every order scores at least `lb`. In floats,
+    /// rounding is monotone, so a lane's end is at least the float sum of
+    /// its steps in placement order, while `lb` sums the same steps in
+    /// request order; two float sums of the same `m` positive steps differ
+    /// by at most `m · ε · lb`. When that rounding bound and greedy's gap
+    /// above `lb` are both at most 0.5e-9 ns, every order scores at least
+    /// greedy's score minus 1e-9, which the strict compare rejects — so
+    /// skipping the beam returns exactly the order running it would. The
+    /// serving layer's slabs keep a tenant's requests on one lane, where
+    /// greedy meets `lb`; multi-lane batches with a real scheduling choice
+    /// still run the beam.
+    ///
+    /// Each request's command stream and the dependence lists are
+    /// computed once per plan and shared by the greedy pass, the beam and
+    /// the scoring.
     ///
     /// Tie-breaking is explicit and pinned: equal-cost candidates resolve
     /// first toward the op kind of the previously dispatched request
@@ -358,14 +428,31 @@ impl PimSystem {
     /// pure function of `(requests, config)`.
     #[must_use]
     pub fn plan_batch(&self, requests: &[BatchRequest]) -> Vec<usize> {
-        let greedy = self.plan_batch_greedy(requests);
+        let streams = self.request_streams(requests);
+        let deps = Self::dependences(requests);
+        let greedy = self.greedy(requests, &streams, &deps);
         if requests.len() < 3 || requests.len() > BEAM_LIMIT {
             return greedy;
         }
-        let beam = self.plan_batch_beam(requests);
-        let g = self.planned_makespan_ns(requests, &greedy);
-        let b = self.planned_makespan_ns(requests, &beam);
-        if b + 1e-9 < g {
+        let g = self.score(requests, &streams, &greedy);
+        if meets_lane_bound(g, requests, &streams) {
+            return greedy;
+        }
+        self.refine(requests, &streams, &deps, greedy, g)
+    }
+
+    /// Runs the beam and keeps the greedy incumbent (scoring `g`) unless
+    /// the beam's order is strictly better by more than 1e-9.
+    fn refine(
+        &self,
+        requests: &[BatchRequest],
+        streams: &[RequestStream],
+        deps: &[Vec<usize>],
+        greedy: Vec<usize>,
+        g: f64,
+    ) -> Vec<usize> {
+        let beam = self.beam(requests, streams, deps);
+        if self.score(requests, streams, &beam) + 1e-9 < g {
             beam
         } else {
             greedy
@@ -378,9 +465,19 @@ impl PimSystem {
     /// compare greedy against the full lookahead plan.
     #[must_use]
     pub fn plan_batch_greedy(&self, requests: &[BatchRequest]) -> Vec<usize> {
+        let streams = self.request_streams(requests);
+        self.greedy(requests, &streams, &Self::dependences(requests))
+    }
+
+    /// [`PimSystem::plan_batch_greedy`] over precomputed streams and
+    /// dependences.
+    fn greedy(
+        &self,
+        requests: &[BatchRequest],
+        streams: &[RequestStream],
+        deps: &[Vec<usize>],
+    ) -> Vec<usize> {
         let n = requests.len();
-        let deps = Self::dependences(requests);
-        let streams: Vec<RequestStream> = requests.iter().map(|r| self.request_stream(r)).collect();
         let mut timelines = self.fresh_timelines();
 
         let mut done = vec![false; n];
@@ -388,7 +485,7 @@ impl PimSystem {
         let mut last_op: Option<BitwiseOp> = None;
         // Peek cache: a candidate's completion depends only on its home
         // channel's timeline, so entries survive dispatches on *other*
-        // channels — the inner loop re-places only same-channel peers.
+        // channels — the inner loop re-peeks only same-channel peers.
         let mut peek: Vec<Option<f64>> = vec![None; n];
 
         for _ in 0..n {
@@ -397,16 +494,10 @@ impl PimSystem {
                 if done[i] || deps[i].iter().any(|&j| !done[j]) {
                     continue;
                 }
-                let home = requests[i].dst.rows()[0];
-                let end = match peek[i] {
-                    Some(end) => end,
-                    None => {
-                        let mut probe = timelines[home.channel as usize].clone();
-                        let end = probe.place(home.rank, home.bank, &streams[i]).end_ns;
-                        peek[i] = Some(end);
-                        end
-                    }
-                };
+                let end = *peek[i].get_or_insert_with(|| {
+                    let home = requests[i].home();
+                    timelines[home.channel as usize].peek_end(home.rank, home.bank, &streams[i])
+                });
                 // Ascending scan + strict improvement = lowest index wins
                 // full ties (the pinned rule).
                 let better = match best {
@@ -423,13 +514,13 @@ impl PimSystem {
                 }
             }
             let (i, _) = best.expect("a dependence-ready request always exists");
-            let home = requests[i].dst.rows()[0];
+            let home = requests[i].home();
             timelines[home.channel as usize].place(home.rank, home.bank, &streams[i]);
             done[i] = true;
             last_op = Some(requests[i].op);
             order.push(i);
             for (j, entry) in peek.iter_mut().enumerate() {
-                if requests[j].dst.rows()[0].channel == home.channel {
+                if requests[j].home().channel == home.channel {
                     *entry = None;
                 }
             }
@@ -439,7 +530,12 @@ impl PimSystem {
 
     /// Bounded-lookahead beam search over dispatch orders (see
     /// [`PimSystem::plan_batch`] for the bound and branching rule).
-    fn plan_batch_beam(&self, requests: &[BatchRequest]) -> Vec<usize> {
+    fn beam(
+        &self,
+        requests: &[BatchRequest],
+        streams: &[RequestStream],
+        deps: &[Vec<usize>],
+    ) -> Vec<usize> {
         #[derive(Clone)]
         struct State {
             order: Vec<usize>,
@@ -458,8 +554,6 @@ impl PimSystem {
             bound: f64,
         }
         let n = requests.len();
-        let deps = Self::dependences(requests);
-        let streams: Vec<RequestStream> = requests.iter().map(|r| self.request_stream(r)).collect();
         let mut beam = vec![State {
             order: Vec::with_capacity(n),
             done: vec![false; n],
@@ -477,9 +571,12 @@ impl PimSystem {
                     if state.done[i] || deps[i].iter().any(|&j| !state.done[j]) {
                         continue;
                     }
-                    let home = requests[i].dst.rows()[0];
-                    let mut probe = state.timelines[home.channel as usize].clone();
-                    let end = probe.place(home.rank, home.bank, &streams[i]).end_ns;
+                    let home = requests[i].home();
+                    let end = state.timelines[home.channel as usize].peek_end(
+                        home.rank,
+                        home.bank,
+                        &streams[i],
+                    );
                     cands.push((i, end));
                 }
                 cands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -504,7 +601,7 @@ impl PimSystem {
                 }
                 for &i in &picks {
                     let mut s = state.clone();
-                    let home = requests[i].dst.rows()[0];
+                    let home = requests[i].home();
                     let p =
                         s.timelines[home.channel as usize].place(home.rank, home.bank, &streams[i]);
                     s.done[i] = true;
@@ -542,14 +639,18 @@ impl PimSystem {
     /// compare planned orders without executing them.
     #[must_use]
     pub fn planned_makespan_ns(&self, requests: &[BatchRequest], order: &[usize]) -> f64 {
+        self.score(requests, &self.request_streams(requests), order)
+    }
+
+    /// [`PimSystem::planned_makespan_ns`] over precomputed streams.
+    fn score(&self, requests: &[BatchRequest], streams: &[RequestStream], order: &[usize]) -> f64 {
         let mut inter = self.fresh_timelines();
         let mut fused = self.fresh_timelines();
         for &i in order {
-            let stream = self.request_stream(&requests[i]);
-            let home = requests[i].dst.rows()[0];
+            let home = requests[i].home();
             let ch = home.channel as usize;
-            inter[ch].place(home.rank, home.bank, &stream);
-            fused[ch].place_fused(home.rank, home.bank, &stream);
+            inter[ch].place(home.rank, home.bank, &streams[i]);
+            fused[ch].place_fused(home.rank, home.bank, &streams[i]);
         }
         inter
             .iter()
@@ -663,7 +764,7 @@ impl PimSystem {
         for &(i, summary) in &per_op {
             let request = &requests[i];
             serial_time_ns += summary.time_ns;
-            let home = request.dst.rows()[0];
+            let home = request.home();
             let channel = home.channel as usize;
             channel_times_ns[channel] += summary.time_ns;
 
@@ -711,9 +812,209 @@ impl PimSystem {
 mod tests {
     use super::*;
     use crate::mapping::MappingPolicy;
+    use crate::microcode::{self, CompileOptions, MicroProgram};
+    use pinatubo_core::rng::SimRng;
 
     fn sys() -> PimSystem {
         PimSystem::pcm_default(MappingPolicy::SubarrayFirst)
+    }
+
+    /// The planning rule without the lane-bound skip: greedy, then — for
+    /// 3 to `BEAM_LIMIT` requests — the beam and the strict 1e-9 compare.
+    fn plan_batch_reference(s: &PimSystem, requests: &[BatchRequest]) -> Vec<usize> {
+        let streams = s.request_streams(requests);
+        let deps = PimSystem::dependences(requests);
+        let greedy = s.greedy(requests, &streams, &deps);
+        if requests.len() < 3 || requests.len() > BEAM_LIMIT {
+            return greedy;
+        }
+        let g = s.score(requests, &streams, &greedy);
+        s.refine(requests, &streams, &deps, greedy, g)
+    }
+
+    /// A seeded random batch: 1–12 requests over a pool of vectors on
+    /// 1–4 channels, 1–2 ranks, up to 4 banks and 3 subarrays, some two
+    /// rows long. Requests draw operands and destinations from the shared
+    /// pool, so RAW, WAW and WAR chains form and some operands sit on
+    /// another channel than their destination (host fallback). Fan-in is
+    /// 1 for NOT and 2–5 otherwise.
+    fn random_batch(rng: &mut SimRng, row_bits: u64) -> Vec<BatchRequest> {
+        let channels = 1 + rng.gen_index(4);
+        let ranks = 1 + rng.gen_index(2);
+        let banks = 1 + rng.gen_index(4);
+        let subarrays = 1 + rng.gen_index(3);
+        let n = 1 + rng.gen_index(12);
+        let mut pool = Vec::new();
+        for id in 0..n as u64 + 4 {
+            let rows: Vec<RowAddr> = (0..1 + u32::from(rng.gen_index(4) == 0))
+                .map(|r| {
+                    RowAddr::new(
+                        rng.gen_index(channels) as u32,
+                        rng.gen_index(ranks) as u32,
+                        rng.gen_index(banks) as u32,
+                        rng.gen_index(subarrays) as u32,
+                        2 * r + rng.gen_index(2) as u32,
+                    )
+                })
+                .collect();
+            let len = (rows.len() as u64 - 1) * row_bits + 4096 * (1 + rng.gen_index(16) as u64);
+            pool.push(PimBitVec::new(9000 + id, len, rows));
+        }
+        let ops = [
+            BitwiseOp::Or,
+            BitwiseOp::And,
+            BitwiseOp::Xor,
+            BitwiseOp::Not,
+        ];
+        (0..n)
+            .map(|_| {
+                let op = ops[rng.gen_index(4)];
+                let fan_in = if op == BitwiseOp::Not {
+                    1
+                } else {
+                    2 + rng.gen_index(4)
+                };
+                BatchRequest {
+                    op,
+                    operands: (0..fan_in)
+                        .map(|_| pool[rng.gen_index(pool.len())].clone())
+                        .collect(),
+                    dst: pool[rng.gen_index(pool.len())].clone(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pruned_plan_equals_the_unpruned_reference() {
+        let mut tight = pinatubo_mem::MemConfig::pcm_default();
+        tight.timing.t_rrd_ns = 150.0;
+        tight.timing.t_faw_ns = 600.0;
+        let systems = [
+            sys(),
+            PimSystem::new(
+                tight,
+                pinatubo_core::PinatuboConfig::default(),
+                MappingPolicy::SubarrayFirst,
+            ),
+        ];
+        let row_bits = systems[0].engine().memory().geometry().logical_row_bits();
+        let (mut skipped, mut searched) = (0, 0);
+        for seed in 0..2400u64 {
+            let s = &systems[(seed % 2) as usize];
+            let mut rng = SimRng::seed_from_u64(seed);
+            let batch = random_batch(&mut rng, row_bits);
+            assert_eq!(
+                s.plan_batch(&batch),
+                plan_batch_reference(s, &batch),
+                "seed {seed}: the pruned plan differs from the reference"
+            );
+
+            // The lane bound holds for any order, dependence-legal or not.
+            let streams = s.request_streams(&batch);
+            let (lb, rounding) = lane_bound(&batch, &streams);
+            let mut perm: Vec<usize> = (0..batch.len()).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.gen_index(i + 1));
+            }
+            let scored = s.planned_makespan_ns(&batch, &perm);
+            assert!(
+                lb - rounding <= scored,
+                "seed {seed}: lane bound {lb} (rounding {rounding}) above the score {scored} of {perm:?}"
+            );
+
+            if (3..=BEAM_LIMIT).contains(&batch.len()) {
+                let g = s.planned_makespan_ns(&batch, &s.plan_batch_greedy(&batch));
+                if meets_lane_bound(g, &batch, &streams) {
+                    skipped += 1;
+                } else {
+                    searched += 1;
+                }
+            }
+        }
+        assert!(
+            skipped > 100 && searched > 100,
+            "both paths must be exercised ({skipped} skipped, {searched} searched)"
+        );
+    }
+
+    #[test]
+    fn serve_slab_shapes_meet_the_lane_bound() {
+        // The three slab shapes the serving layer dispatches, built the
+        // way its workload builders build them: every tenant's group on
+        // one home channel. Greedy must meet the lane bound on each, so
+        // served traffic never pays for the beam.
+        let mut s = PimSystem::pcm_default(MappingPolicy::ChannelRotate);
+        let meets = |s: &PimSystem, batch: &[BatchRequest]| {
+            let streams = s.request_streams(batch);
+            meets_lane_bound(
+                s.score(batch, &streams, &s.plan_batch_greedy(batch)),
+                batch,
+                &streams,
+            )
+        };
+        for (channel, bits) in [(0u32, 1u64 << 12), (1, 1 << 15), (3, 1 << 16)] {
+            let g = s
+                .alloc_group_on_channel(channel, 5, bits)
+                .expect("filter group");
+            let filter = [
+                BatchRequest {
+                    op: BitwiseOp::And,
+                    operands: vec![g[0].clone(), g[1].clone()],
+                    dst: g[3].clone(),
+                },
+                BatchRequest {
+                    op: BitwiseOp::Or,
+                    operands: vec![g[3].clone(), g[2].clone()],
+                    dst: g[4].clone(),
+                },
+            ];
+            assert!(meets(&s, &filter), "filter, {bits} bits");
+
+            let g = s
+                .alloc_group_on_channel(channel, 8, bits)
+                .expect("bfs group");
+            let (n, t, f) = (&g[5], &g[6], &g[7]);
+            let bfs = [
+                BatchRequest {
+                    op: BitwiseOp::Not,
+                    operands: vec![g[3].clone()],
+                    dst: n.clone(),
+                },
+                BatchRequest {
+                    op: BitwiseOp::Or,
+                    operands: vec![g[0].clone(), g[1].clone()],
+                    dst: t.clone(),
+                },
+                BatchRequest {
+                    op: BitwiseOp::And,
+                    operands: vec![t.clone(), n.clone()],
+                    dst: f.clone(),
+                },
+                BatchRequest {
+                    op: BitwiseOp::Or,
+                    operands: vec![g[3].clone(), f.clone()],
+                    dst: g[4].clone(),
+                },
+            ];
+            assert!(meets(&s, &bfs), "bfs, {bits} bits");
+
+            let a = s.alloc_transposed_on_channel(channel, bits, 8).expect("a");
+            let b = s.alloc_transposed_on_channel(channel, bits, 8).expect("b");
+            let sum = s
+                .alloc_transposed_on_channel(channel, bits, 8)
+                .expect("sum");
+            let mask = s.alloc_group_on_channel(channel, 1, bits).expect("mask");
+            let programs = [
+                MicroProgram::add(&a, &b, &sum),
+                MicroProgram::cmp_ge(&a, &b, &mask[0]),
+            ];
+            let compiled = microcode::compile(&programs, CompileOptions::optimized(), &mut s)
+                .expect("compile");
+            for (k, chunk) in compiled.requests().chunks(8).enumerate() {
+                assert!(meets(&s, chunk), "intvec chunk {k}, {bits} bits");
+            }
+        }
     }
 
     /// Builds `n` independent 2-operand requests of alternating op kinds.
