@@ -21,7 +21,7 @@
 //! | binary | measures | file |
 //! |--------|----------|------|
 //! | `bench_parallel` | persistent session vs serial execution | `BENCH_parallel.json` |
-//! | `bench_schedule` | interleaved vs request-granularity makespan, lookahead vs greedy | `BENCH_schedule.json` |
+//! | `bench_schedule` | command-interleaved makespan and bus-hold overlap, lookahead vs greedy | `BENCH_schedule.json` |
 //! | `bench_bitserial` | fused vs unfused µ-programs, PIM vs SIMD | `BENCH_bitserial.json` |
 //! | `bench_serve` | multi-tenant serving vs serial replay | `BENCH_serve.json` |
 //! | `bench_fault` | packed vs per-cell fault path, no protection vs SEC-DED | `BENCH_fault.json` |

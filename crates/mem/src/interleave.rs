@@ -1,13 +1,11 @@
 //! Command-granularity channel timelines.
 //!
-//! The batch scheduler used to model each request as one opaque block: a
-//! single lane reservation, a single tRRD/tFAW gate at launch, and a bus
-//! cursor that serialized whole requests. This module expands a request's
-//! charged [`TimeBreakdown`] back into the *timed command stream* the
-//! controller actually issued — segment ACTs (including the extra latched
-//! activations of a multi-row op), sense passes, SA writes, precharges,
-//! GDL hops and DDR-bus bursts — and places those commands on a
-//! [`ChannelTimeline`] that models the channel's discrete resources:
+//! A request is not one opaque block on its channel. This module expands
+//! a request's charged [`TimeBreakdown`] back into the *timed command
+//! stream* the controller actually issued — segment ACTs (including the
+//! extra latched activations of a multi-row op), sense passes, SA writes,
+//! precharges, GDL hops and DDR-bus bursts — and places those commands on
+//! a [`ChannelTimeline`] that models the channel's discrete resources:
 //!
 //! * one **lane** per (rank, bank) — the bank's SA stripe and write
 //!   drivers; a request's commands chain sequentially on their lane;
@@ -21,15 +19,8 @@
 //! Commands from different requests interleave freely subject to those
 //! resources plus one global discipline: requests *issue* in schedule
 //! order on the channel (a later request's first command never precedes
-//! an earlier request's first command), mirroring the in-order command
-//! queue of the request-granularity model.
-//!
-//! [`ChannelTimeline::place_fused`] reproduces the old request-granularity
-//! placement exactly, so callers can report both accounts and take the
-//! per-channel minimum: a controller is never obliged to interleave when
-//! the coarse schedule would finish earlier (under deliberately tight
-//! tFAW, per-command gating can cost more than it recovers), which makes
-//! `interleaved ≤ request-granularity` hold by construction.
+//! an earlier request's first command), as an in-order command queue
+//! issues them.
 //!
 //! Everything here is *relative time*: a timeline starts at zero and has
 //! no notion of the controller's absolute clock, the same clock-scoping
@@ -70,16 +61,16 @@ pub struct CmdStep {
 /// 496-activation fused OR would otherwise produce thousands of steps and
 /// make schedule lookahead quadratic in them; beyond the cap, each unit
 /// carries several activations' worth of time (and one ledger entry),
-/// which only *under*-counts tFAW pressure — the request-granularity
-/// fallback already under-counts it at one entry per request.
+/// which only *under*-counts tFAW pressure.
 const MAX_ACT_UNITS: u64 = 32;
 
 /// A request's charged cost, expanded back into a timed command stream.
 ///
 /// Built with [`RequestStream::from_breakdown`]; the step durations sum
 /// to the breakdown's `total_ns()` exactly (up to float rounding), so a
-/// timeline placed from streams reproduces the charged account — the
-/// scheduler's cost model and the controller's ledger cannot drift apart.
+/// timeline placed from *charged* breakdowns reconciles with the
+/// controller's ledger. A stream built from an estimated breakdown is
+/// only as close as the estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestStream {
     steps: Vec<CmdStep>,
@@ -188,12 +179,6 @@ pub struct Placement {
 }
 
 /// Discrete-resource occupancy of one channel, at command granularity.
-///
-/// One instance models one placement discipline: use either
-/// [`ChannelTimeline::place`] (command interleaving) or
-/// [`ChannelTimeline::place_fused`] (request granularity) on a given
-/// timeline, never both — the activation ledger's semantics differ
-/// (full insertion history vs. rolling four-entry launch window).
 #[derive(Debug, Clone)]
 pub struct ChannelTimeline {
     timing: TimingParams,
@@ -205,9 +190,8 @@ pub struct ChannelTimeline {
     lane_free: HashMap<(u32, u32), f64>,
     /// When each rank's GDL port frees.
     gdl_free: HashMap<u32, f64>,
-    /// Per-rank activation issue times, ascending. Under `place` this is
-    /// the full ledger ACTs slot into; under `place_fused` it is the old
-    /// rolling window of at most four launch gates.
+    /// Per-rank activation issue times, ascending: the full ledger new
+    /// ACTs slot into.
     rank_acts: HashMap<u32, Vec<f64>>,
 }
 
@@ -327,42 +311,6 @@ impl ChannelTimeline {
             placement,
             bus_free_ns,
             gdl_free_ns,
-        }
-    }
-
-    /// Places a request as one opaque block — the request-granularity
-    /// model this module replaces, kept as the never-worse fallback and
-    /// comparison baseline. The request launches once the channel bus and
-    /// its lane are free; a stream containing activations additionally
-    /// gates the launch through a rolling four-entry per-rank window; the
-    /// bus is then held for the stream's shared time and the lane to the
-    /// request's end.
-    pub fn place_fused(&mut self, rank: u32, bank: u32, stream: &RequestStream) -> Placement {
-        if stream.steps.is_empty() {
-            return Placement::default();
-        }
-        let lane = self.lane_free.get(&(rank, bank)).copied().unwrap_or(0.0);
-        let ready = self.bus_free_ns.max(lane);
-        let start = if stream.acts > 0 {
-            let history = self.rank_acts.entry(rank).or_default();
-            let gated = self.timing.earliest_activation_ns(history, ready);
-            history.push(gated);
-            if history.len() > 4 {
-                history.remove(0);
-            }
-            gated
-        } else {
-            ready
-        };
-        let end = start + stream.total_ns;
-        self.bus_free_ns = start + stream.shared_ns;
-        self.lane_free.insert((rank, bank), end);
-        self.issue_ns = start;
-        Placement {
-            start_ns: start,
-            end_ns: end,
-            act_stall_ns: start - ready,
-            bus_wait_ns: 0.0,
         }
     }
 
@@ -542,8 +490,7 @@ mod tests {
 
     #[test]
     fn lane_work_overlaps_a_busy_bus() {
-        // A bus hog must not keep a pure-lane request from starting: the
-        // win the fused model cannot see.
+        // A bus hog must not keep a pure-lane request from starting.
         let hog = RequestStream::from_breakdown(
             &TimeBreakdown {
                 bus_ns: 1000.0,
@@ -561,21 +508,14 @@ mod tests {
             },
             1,
         );
-        let mut inter = ChannelTimeline::new(t());
-        inter.place(0, 0, &hog);
-        let pi = inter.place(0, 1, &lane_only);
-        let mut fused = ChannelTimeline::new(t());
-        fused.place_fused(0, 0, &hog);
-        let pf = fused.place_fused(0, 1, &lane_only);
+        let mut tl = ChannelTimeline::new(t());
+        tl.place(0, 0, &hog);
+        let p = tl.place(0, 1, &lane_only);
+        assert!(p.start_ns < 1.0, "lane work starts under the bus transfer");
         assert!(
-            pi.start_ns < 1.0,
-            "interleaved lane work starts under the bus transfer"
+            tl.completion_ns() < hog.total_ns() + lane_only.total_ns(),
+            "the two requests overlap"
         );
-        assert!(
-            pf.start_ns >= 1000.0 - 1e-9,
-            "the fused model serializes the launch behind the bus"
-        );
-        assert!(inter.completion_ns() < fused.completion_ns());
     }
 
     #[test]
@@ -655,42 +595,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_placement_reproduces_the_request_granularity_model() {
-        let mut timing = t();
-        timing.t_rrd_ns = 150.0;
-        timing.t_faw_ns = 600.0;
-        let s = RequestStream::from_breakdown(
-            &TimeBreakdown {
-                activate_ns: 23.3,
-                sense_ns: 8.9,
-                write_ns: 151.1,
-                precharge_ns: 15.6,
-                ..TimeBreakdown::default()
-            },
-            1,
-        );
-        let mut tl = ChannelTimeline::new(timing);
-        // Eight one-ACT requests on one rank: launches gate at 0, tRRD,
-        // …, then tFAW paces the window: exactly the old model's train.
-        let mut expect = [0.0f64; 8];
-        for (i, e) in expect.iter_mut().enumerate() {
-            *e = if i < 4 {
-                i as f64 * 150.0
-            } else {
-                (i - 3) as f64 * 150.0 + 450.0
-            };
-        }
-        for (bank, &e) in expect.iter().enumerate() {
-            let p = tl.place_fused(0, bank as u32, &s);
-            assert!(
-                (p.start_ns - e).abs() < 1e-9,
-                "bank {bank}: start {} vs expected {e}",
-                p.start_ns
-            );
-        }
-    }
-
     /// A random charged breakdown with each mechanism present about
     /// two times in three, so streams mix Act, Lane, Gdl and Shared steps.
     fn random_stream(rng: &mut pinatubo_nvm::SimRng) -> RequestStream {
@@ -760,7 +664,6 @@ mod tests {
         let mut tl = ChannelTimeline::new(t());
         assert_eq!(tl.peek_end(0, 0, &s), 0.0);
         assert_eq!(tl.place(0, 0, &s), Placement::default());
-        assert_eq!(tl.place_fused(0, 0, &s), Placement::default());
         assert_eq!(tl.lanes_used(), 0);
         assert!((tl.completion_ns() - 0.0).abs() < 1e-12);
     }

@@ -21,7 +21,7 @@
 //!    [`BatchRequest`] list goes to the existing `plan_batch` lookahead
 //!    beam. The compiled batch streams through [`ExecSession`] unchanged.
 //!
-//! Fusion/CSE is gated by [`CompileOptions`], so benchmarks can measure
+//! Fusion and CSE are gated by [`CompileOptions`], so benchmarks can measure
 //! the optimized pipeline against naive per-program expansion
 //! ([`CompileOptions::unoptimized`]) on identical inputs.
 
@@ -318,40 +318,33 @@ impl MicroProgram {
     }
 }
 
-/// Compiler switches: both on by default (the optimized pipeline);
+/// The compiler switch: on by default (the optimized pipeline);
 /// [`CompileOptions::unoptimized`] keeps only the constant folding any
 /// hand-rolled bit-serial ladder would do, for A/B measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
-    /// Hash-cons the batch into one DAG: identical subexpressions
-    /// (shared carry/borrow chains, repeated plane terms) are computed
-    /// once, plus algebraic simplification (idempotence, complement,
-    /// absorption, double negation).
-    pub cse: bool,
-    /// Flatten single-use chains of the same associative op into one
+    /// CSE and fusion together. CSE hash-conses the batch into one DAG:
+    /// identical subexpressions (shared carry/borrow chains, repeated
+    /// plane terms) are computed once, plus algebraic simplification
+    /// (idempotence, complement, absorption, double negation). Fusion
+    /// flattens single-use chains of the same associative op into one
     /// multi-operand request (one scratch write instead of one per
     /// pairwise step; OR additionally exploits multi-row activation
     /// fan-in).
-    pub fuse: bool,
+    pub optimize: bool,
 }
 
 impl CompileOptions {
     /// Fusion and CSE on.
     #[must_use]
     pub fn optimized() -> Self {
-        CompileOptions {
-            cse: true,
-            fuse: true,
-        }
+        CompileOptions { optimize: true }
     }
 
     /// Naive per-program expansion (constant folding only).
     #[must_use]
     pub fn unoptimized() -> Self {
-        CompileOptions {
-            cse: false,
-            fuse: false,
-        }
+        CompileOptions { optimize: false }
     }
 }
 
@@ -411,7 +404,7 @@ impl Builder {
     }
 
     fn intern(&mut self, e: Expr) -> usize {
-        if self.opts.cse {
+        if self.opts.optimize {
             if let Some(&n) = self.memo.get(&e) {
                 return n;
             }
@@ -458,7 +451,7 @@ impl Builder {
     }
 
     /// Builds `op(args…)` for an associative op, folding constants
-    /// (always) and simplifying algebraically (when `cse`).
+    /// (always) and simplifying algebraically (when optimizing).
     fn gate(&mut self, op: BitwiseOp, args: Vec<usize>) -> usize {
         debug_assert!(op.is_binary());
         // Constant folding: uniform planes never cost a request.
@@ -474,7 +467,7 @@ impl Builder {
                 _ => kept.push(a),
             }
         }
-        if self.opts.cse {
+        if self.opts.optimize {
             kept.sort_unstable();
             match op {
                 // Idempotence: x OP x = x.
@@ -878,9 +871,9 @@ fn check_shape(programs: &[MicroProgram]) -> Result<(), MicroBatchError> {
 
 /// Compiles a batch of µ-programs into one [`CompiledBatch`].
 ///
-/// All programs are expanded into a single expression DAG (hash-consed
-/// across programs when `opts.cse`), single-use same-op chains are
-/// flattened into multi-operand requests when `opts.fuse`, and interior
+/// All programs are expanded into a single expression DAG (when
+/// `opts.optimize`, hash-consed across programs, with single-use same-op
+/// chains flattened into multi-operand requests), and interior
 /// values get scratch planes recycled by last-use liveness — the peak
 /// live count is allocated as one group, steered to the channel of the
 /// first program's first input plane (see
@@ -953,7 +946,7 @@ pub fn compile(
     //    multi-row-activation fan-in).
     let mut eff: Vec<Option<Vec<usize>>> = vec![None; n];
     let mut killed = vec![false; n];
-    if opts.fuse {
+    if opts.optimize {
         for i in 0..n {
             let Expr::Gate(op, args) = &b.exprs[i] else {
                 continue;
@@ -975,30 +968,28 @@ pub fn compile(
                 }
             }
             if changed {
-                if opts.cse {
-                    let mut simplified = flat.clone();
-                    simplified.sort_unstable();
-                    match op {
-                        BitwiseOp::Or | BitwiseOp::And => simplified.dedup(),
-                        BitwiseOp::Xor => {
-                            let mut out = Vec::with_capacity(simplified.len());
-                            for a in simplified {
-                                if out.last() == Some(&a) {
-                                    out.pop();
-                                } else {
-                                    out.push(a);
-                                }
+                let mut simplified = flat.clone();
+                simplified.sort_unstable();
+                match op {
+                    BitwiseOp::Or | BitwiseOp::And => simplified.dedup(),
+                    BitwiseOp::Xor => {
+                        let mut out = Vec::with_capacity(simplified.len());
+                        for a in simplified {
+                            if out.last() == Some(&a) {
+                                out.pop();
+                            } else {
+                                out.push(a);
                             }
-                            simplified = out;
                         }
-                        BitwiseOp::Not => unreachable!(),
+                        simplified = out;
                     }
-                    // A degenerate list (< 2 operands) keeps the raw
-                    // flattening: duplicate operands are still correct
-                    // (x|x, x&x, x^x all have defined request semantics).
-                    if simplified.len() >= 2 {
-                        flat = simplified;
-                    }
+                    BitwiseOp::Not => unreachable!(),
+                }
+                // A degenerate list (< 2 operands) keeps the raw
+                // flattening: duplicate operands are still correct
+                // (x|x, x&x, x^x all have defined request semantics).
+                if simplified.len() >= 2 {
+                    flat = simplified;
                 }
                 eff[i] = Some(flat);
             }

@@ -73,16 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "    {} bank lanes, {:.0}% of submitted work overlapped away, \
-         {:.0} ns tRRD/tFAW launch stall",
+         {:.0} ns tRRD/tFAW launch stall, {:.0} ns waiting on busy bus/GDL slots",
         m.lanes_used,
         m.overlapped_fraction() * 100.0,
-        m.rrd_faw_stall_ns
-    );
-    println!(
-        "    request-granularity model: {:.2} us; command interleaving \
-         recovered {:.0} ns ({:.0} ns spent waiting on busy bus/GDL slots)",
-        m.request_granularity_ns / 1000.0,
-        m.interleave_recovered_ns,
+        m.rrd_faw_stall_ns,
         m.bus_conflict_stall_ns
     );
     println!(

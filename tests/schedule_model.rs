@@ -1,16 +1,18 @@
 //! Model-level properties of the command-interleaved batch scheduler:
-//! the interleaved makespan is sandwiched between hard lower bounds and
-//! the request-granularity (fused) makespan, the bounded-lookahead plan
-//! is never worse than the greedy incumbent and always a permutation,
-//! planning is deterministic, and pooled-session execution of the same
-//! scheduled shapes stays bit-, stats- and ledger-identical to serial.
+//! the makespan is sandwiched between hard lower bounds (the longest
+//! request, each channel's bus time, each rank's GDL port time and tRRD
+//! spacing) and the serial stream, the bounded-lookahead plan is never
+//! worse than the greedy incumbent and always a permutation, planning is
+//! deterministic, and pooled-session execution of the same scheduled
+//! shapes stays bit-, stats- and ledger-identical to serial.
 
 use pinatubo_bench::parity::assert_stats_match;
 use pinatubo_core::{BitwiseOp, PinatuboConfig};
-use pinatubo_mem::{MemConfig, ReliabilityConfig};
+use pinatubo_mem::{MemConfig, ReliabilityConfig, RequestStream};
 use pinatubo_nvm::fault::FaultModel;
 use pinatubo_nvm::rng::SimRng;
 use pinatubo_runtime::{BatchRequest, MappingPolicy, PimBitVec, PimSystem};
+use std::collections::BTreeMap;
 
 fn sys() -> PimSystem {
     let mut s = PimSystem::new(
@@ -139,8 +141,8 @@ fn shapes() -> Vec<(&'static str, Builder)> {
 }
 
 /// `makespan_ns` is sandwiched: at least every hard lower bound (longest
-/// single request, per-channel serialized bus time), at most the
-/// request-granularity model, at most the serial stream.
+/// single request, per-channel serialized bus time, per-rank GDL port
+/// time and tRRD spacing), at most the serial stream.
 #[test]
 fn interleaved_makespan_is_sandwiched() {
     for (name, build) in shapes() {
@@ -149,17 +151,6 @@ fn interleaved_makespan_is_sandwiched() {
         let report = s.execute_batch(&batch).expect("batch");
         let mk = &report.makespan;
 
-        assert!(
-            mk.makespan_ns <= mk.request_granularity_ns + 1e-6,
-            "{name}: interleaved {} must not exceed request-granularity {}",
-            mk.makespan_ns,
-            mk.request_granularity_ns
-        );
-        assert!(
-            (mk.interleave_recovered_ns - (mk.request_granularity_ns - mk.makespan_ns)).abs()
-                < 1e-6,
-            "{name}: recovered time must equal the model gap"
-        );
         assert!(
             mk.makespan_ns <= report.serial_time_ns + 1e-6,
             "{name}: overlap can never lose to the serial stream"
@@ -179,8 +170,7 @@ fn interleaved_makespan_is_sandwiched() {
             longest
         );
 
-        // Lower bound 2: shared (bus + MRS) time serializes per channel
-        // in both models.
+        // Lower bound 2: shared (bus + MRS) time serializes per channel.
         let channels = MemConfig::pcm_default().geometry.channels as usize;
         let mut shared_per_channel = vec![0.0f64; channels];
         for (i, op) in &report.per_op {
@@ -194,6 +184,32 @@ fn interleaved_makespan_is_sandwiched() {
             mk.makespan_ns,
             bus_bound
         );
+
+        // Lower bounds 3 and 4: each rank has one GDL port, and its
+        // activations sit at least tRRD apart.
+        let t_rrd_ns = MemConfig::pcm_default().timing.t_rrd_ns;
+        let mut ranks: BTreeMap<(u32, u32), (f64, u64)> = BTreeMap::new();
+        for (i, op) in &report.per_op {
+            let home = batch[*i].dst.rows()[0];
+            let rank = ranks.entry((home.channel, home.rank)).or_default();
+            rank.0 += op.time.gdl_ns;
+            rank.1 += RequestStream::from_breakdown(&op.time, op.activations).activation_steps();
+        }
+        for ((channel, rank), (gdl_ns, acts)) in ranks {
+            assert!(
+                mk.makespan_ns >= gdl_ns - 1e-6,
+                "{name}: makespan {} below the GDL port time {gdl_ns} of \
+                 channel {channel} rank {rank}",
+                mk.makespan_ns
+            );
+            let spacing = acts.saturating_sub(1) as f64 * t_rrd_ns;
+            assert!(
+                mk.makespan_ns >= spacing - 1e-6,
+                "{name}: makespan {} below the tRRD spacing {spacing} of \
+                 {acts} activations on channel {channel} rank {rank}",
+                mk.makespan_ns
+            );
+        }
         assert!(
             mk.rrd_faw_stall_ns >= 0.0 && mk.bus_conflict_stall_ns >= 0.0,
             "{name}: stall accounts must be non-negative"
