@@ -184,18 +184,24 @@ impl RowData {
     }
 
     /// The number of bit positions where `self` and `other` differ, the
-    /// shorter row treated as zero-extended. Word-wise, so diffing two
-    /// full rows costs no per-bit work.
+    /// shorter row treated as zero-extended. Word-wise over the shared
+    /// words, then the longer row's tail; equal words, the common case
+    /// for a sensed row against its truth, cost one compare.
     #[must_use]
     pub fn count_diff(&self, other: &RowData) -> u64 {
-        let longest = self.words.len().max(other.words.len());
-        (0..longest)
-            .map(|i| {
-                let a = self.words.get(i).copied().unwrap_or(0);
-                let b = other.words.get(i).copied().unwrap_or(0);
-                u64::from((a ^ b).count_ones())
-            })
-            .sum()
+        let (long, short) = if self.words.len() >= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        let (head, tail) = long.split_at(short.len());
+        let shared: u64 = head
+            .iter()
+            .zip(short)
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| u64::from((a ^ b).count_ones()))
+            .sum();
+        shared + tail.iter().map(|w| u64::from(w.count_ones())).sum::<u64>()
     }
 
     /// Grows or shrinks to `len_bits`, zero-filling new bits.
@@ -406,6 +412,41 @@ mod tests {
         let short = RowData::from_bits(&[true; 64]);
         assert_eq!(long.count_diff(&short), 36);
         assert_eq!(short.count_diff(&long), 36);
+    }
+
+    #[test]
+    fn count_diff_matches_a_per_bit_count_on_random_rows() {
+        let mut rng = pinatubo_nvm::rng::SimRng::seed_from_u64(0xD1FF);
+        // Unequal lengths, neither a multiple of 64.
+        let len = |rng: &mut pinatubo_nvm::rng::SimRng| {
+            64 * rng.gen_range_u64(0, 12) + rng.gen_range_u64(1, 64)
+        };
+        for case in 0..400 {
+            let (la, lb) = (len(&mut rng), len(&mut rng));
+            if la == lb {
+                continue;
+            }
+            let a: RowData = (0..la).map(|_| rng.gen_bit()).collect();
+            // Half the pairs are a near-copy (mostly equal words, a few
+            // flips), as a sensed row is of its truth.
+            let b: RowData = if case % 2 == 0 {
+                let mut b = a.clone();
+                b.resize(lb);
+                for _ in 0..rng.gen_range_u64(0, 4) {
+                    let bit = rng.gen_range_u64(0, lb);
+                    b.set(bit, !b.get(bit));
+                }
+                b
+            } else {
+                (0..lb).map(|_| rng.gen_bit()).collect()
+            };
+            let bit = |r: &RowData, i: u64| i < r.len_bits() && r.get(i);
+            let per_bit = (0..la.max(lb))
+                .filter(|&i| bit(&a, i) != bit(&b, i))
+                .count() as u64;
+            assert_eq!(a.count_diff(&b), per_bit, "lengths {la}/{lb}");
+            assert_eq!(b.count_diff(&a), per_bit, "lengths {lb}/{la}");
+        }
     }
 
     #[test]

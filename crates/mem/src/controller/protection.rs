@@ -88,32 +88,33 @@ impl MainMemory {
     }
 
     /// [`MainMemory::note_accepted`] restricted to the words *outside*
-    /// `skip_words` (ascending indices). After a SEC-DED correction the
+    /// `skip_words` (distinct indices). After a SEC-DED correction the
     /// corrected words match the intended data by construction — any
     /// divergence from the functional `truth` there is repaired storage
     /// corruption, not a silent escape — so only words the syndrome
-    /// called clean can hide aliased wrong bits.
+    /// called clean can hide aliased wrong bits. Counted as the whole-row
+    /// diff less the skipped words' share.
     fn note_accepted_outside(&mut self, truth: &RowData, out: &RowData, skip_words: &[usize]) {
-        let diff: u64 = out
-            .as_words()
+        let word = |row: &RowData, w: usize| row.as_words().get(w).copied().unwrap_or(0);
+        let repaired: u64 = skip_words
             .iter()
-            .zip(truth.as_words())
-            .enumerate()
-            .filter(|(w, _)| skip_words.binary_search(w).is_err())
-            .map(|(_, (a, b))| u64::from((a ^ b).count_ones()))
+            .map(|&w| u64::from((word(out, w) ^ word(truth, w)).count_ones()))
             .sum();
-        self.stats.reliability.silent_wrong_bits += diff;
+        self.stats.reliability.silent_wrong_bits += out.count_diff(truth) - repaired;
     }
 
-    /// One packed SEC-DED check byte per 64-bit data word: word `i`'s
-    /// byte sits at byte `i % 8` of metadata word `i / 8`.
-    fn secded_check_bytes(data: &RowData) -> Vec<u64> {
-        let words = data.as_words();
-        let mut out = vec![0u64; words.len().div_ceil(8)];
-        for (i, &w) in words.iter().enumerate() {
-            out[i / 8] |= u64::from(crate::secded::encode(w)) << ((i % 8) * 8);
-        }
-        out
+    /// Refills `out` with one packed SEC-DED check byte per 64-bit data
+    /// word, reusing its allocation: word `i`'s byte sits at byte `i % 8`
+    /// of metadata word `i / 8`.
+    fn secded_check_bytes(data: &RowData, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(data.as_words().chunks(8).map(|chunk| {
+            let mut bytes = [0u8; 8];
+            for (byte, &w) in bytes.iter_mut().zip(chunk) {
+                *byte = crate::secded::encode(w);
+            }
+            u64::from_le_bytes(bytes)
+        }));
     }
 
     /// Accounts the wrong bits an unverified (or verify-accepted-anyway)
@@ -167,12 +168,15 @@ impl MainMemory {
     /// metadata array itself is modeled as reliable (a real design would
     /// protect it with stronger coding).
     pub(super) fn record_protection(&mut self, addr: RowAddr, data: &RowData) {
-        let meta = match self.config.reliability.protection {
-            ProtectionMode::None => return,
-            ProtectionMode::SecDed => Self::secded_check_bytes(data),
-        };
-        self.dirty.protect.insert(addr);
-        self.protect.insert(addr, (data.len_bits(), meta));
+        match self.config.reliability.protection {
+            ProtectionMode::None => {}
+            ProtectionMode::SecDed => {
+                self.dirty.protect.insert(addr);
+                let (len_bits, meta) = self.protect.entry(addr).or_default();
+                *len_bits = data.len_bits();
+                Self::secded_check_bytes(data, meta);
+            }
+        }
     }
 
     /// How many leading words of a sensed row are fully determined on

@@ -641,6 +641,47 @@ fn secded_flags_unverified_bad_writes_on_read() {
     assert!(r.is_consistent(), "{r:?}");
 }
 
+/// The packed check-byte layout, built independently of the controller:
+/// word `i`'s byte at byte `i % 8` of metadata word `i / 8`.
+fn expected_check_bytes(data: &RowData) -> Vec<u64> {
+    let words = data.as_words();
+    let mut out = vec![0u64; words.len().div_ceil(8)];
+    for (i, &w) in words.iter().enumerate() {
+        out[i / 8] |= u64::from(crate::secded::encode(w)) << ((i % 8) * 8);
+    }
+    out
+}
+
+#[test]
+fn secded_check_bytes_keep_their_layout_when_a_row_is_rewritten_shorter() {
+    let mut m = faulty_mem(benign_model(), ReliabilityConfig::protected_secded());
+    let mut rng = pinatubo_nvm::rng::SimRng::seed_from_u64(0xC4EC);
+    let mut image = |bits: u64| -> RowData { (0..bits).map(|_| rng.gen_bit()).collect() };
+    // 2^12 + 69 bits: 66 data words, so the last metadata word holds two
+    // check bytes and six zero bytes.
+    let long = image((1 << 12) + 69);
+    m.write_row_local(addr(0, 0), long.clone())
+        .expect("write lands");
+    let (len_bits, meta) = &m.protect[&addr(0, 0)];
+    assert_eq!(*len_bits, long.len_bits());
+    assert_eq!(meta.len(), 9);
+    for (i, &w) in long.as_words().iter().enumerate() {
+        let byte = meta[i / 8].to_le_bytes()[i % 8];
+        assert_eq!(byte, crate::secded::encode(w), "data word {i}");
+    }
+    assert_eq!(meta, &expected_check_bytes(&long));
+
+    // A shorter image refills the same row's metadata: exactly its own
+    // words remain, as a freshly allocated buffer would hold.
+    let short = image(64 * 10 + 5);
+    m.write_row_local(addr(0, 0), short.clone())
+        .expect("write lands");
+    let (len_bits, meta) = &m.protect[&addr(0, 0)];
+    assert_eq!(*len_bits, short.len_bits());
+    assert_eq!(meta, &expected_check_bytes(&short));
+    assert_eq!(meta.len(), 2);
+}
+
 #[test]
 fn wide_or_splits_at_the_reliable_fan_in() {
     let mut cfg = ReliabilityConfig::protected_secded();

@@ -10,11 +10,16 @@
 //! syndrome — the code's own blind spot, far narrower than parity's
 //! (any even number of flips).
 //!
-//! The packed encoder works word-at-a-time: check bit `j` is the parity
-//! of the data word ANDed with a precomputed coverage mask, so encoding
-//! a word costs seven AND+popcount pairs instead of 64 per-bit loop
-//! iterations — the same bit-sliced idiom as the PR 4 fault path. A
-//! naive per-bit implementation ([`encode_reference`] /
+//! The packed codec is table-driven. Every check bit — the seven Hamming
+//! bits and the overall parity bit alike — is an XOR of data bits, so the
+//! encoder is linear: `encode(a ^ b) == encode(a) ^ encode(b)`. A word's
+//! check byte is therefore the XOR of eight entries of a 2 KB table whose
+//! entry `[k][b]` is the check byte of byte value `b` at byte position
+//! `k` (the word `b << 8k`). A `const fn` fills the table at compile time
+//! from the seven coverage masks, with the masked-popcount formula, so
+//! encoding and the clean-word check issue no popcount at run time: they
+//! split a word into bytes and answer each byte from an exhaustive
+//! table. A naive per-bit implementation ([`encode_reference`] /
 //! [`decode_reference`]) is kept as the oracle the property tests pin
 //! the packed path against.
 
@@ -70,9 +75,42 @@ const fn coverage_masks() -> [u64; 7] {
     masks
 }
 
+/// The masked-popcount encoder: check bit `j` is the parity of the word
+/// ANDed with coverage mask `j`, and the overall bit the parity of the
+/// word and the seven check bits. Runs only at compile time, to fill
+/// [`BYTE_CHECKS`].
+const fn encode_masked(word: u64) -> u8 {
+    let mut check: u8 = 0;
+    let mut j = 0;
+    while j < 7 {
+        check |= (((word & MASKS[j]).count_ones() & 1) as u8) << j;
+        j += 1;
+    }
+    let overall = ((word.count_ones() + check.count_ones()) & 1) as u8;
+    check | (overall << 7)
+}
+
+/// Entry `[k][b]` is the check byte of the word `b << 8k`. The encoder
+/// is linear, so a word's check byte is the XOR of the entries of its
+/// eight bytes.
+const fn byte_checks() -> [[u8; 256]; 8] {
+    let mut table = [[0u8; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            table[k][b] = encode_masked((b as u64) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
 const DATA_POS: [u8; 64] = data_positions();
 const POS_DATA: [i8; 128] = position_data_bits();
 const MASKS: [u64; 7] = coverage_masks();
+const BYTE_CHECKS: [[u8; 256]; 8] = byte_checks();
 
 /// What the decoder concluded about one sensed word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,38 +127,41 @@ pub enum Decode {
 }
 
 /// Packed encoder: the check byte for one data word (Hamming bits
-/// `c0..=c6` in bits 0–6, overall parity in bit 7). Seven masked
-/// popcounts plus one overall popcount — O(1) per word.
+/// `c0..=c6` in bits 0–6, overall parity in bit 7), as the XOR of the
+/// table entries of the word's eight bytes — eight lookups, O(1) per
+/// word.
 #[must_use]
 pub fn encode(word: u64) -> u8 {
-    let mut check: u8 = 0;
-    for (j, mask) in MASKS.iter().enumerate() {
-        check |= (((word & mask).count_ones() as u8) & 1) << j;
-    }
-    // The overall bit covers the data word *and* the seven check bits.
-    let overall = (word.count_ones() as u8 + check.count_ones() as u8) & 1;
-    check | (overall << 7)
+    let b = word.to_le_bytes();
+    BYTE_CHECKS[0][b[0] as usize]
+        ^ BYTE_CHECKS[1][b[1] as usize]
+        ^ BYTE_CHECKS[2][b[2] as usize]
+        ^ BYTE_CHECKS[3][b[3] as usize]
+        ^ BYTE_CHECKS[4][b[4] as usize]
+        ^ BYTE_CHECKS[5][b[5] as usize]
+        ^ BYTE_CHECKS[6][b[6] as usize]
+        ^ BYTE_CHECKS[7][b[7] as usize]
 }
 
 /// Decodes a sensed word against its stored check byte.
 ///
-/// The syndrome is the XOR of the recomputed and stored Hamming bits; a
-/// mismatching overall parity marks an odd number of flips. With the
-/// check store modeled reliable (as the controller models it), data
-/// errors always produce a valid data-bit syndrome; the check-bit and
-/// invalid-position cases are still classified faithfully so the codec
-/// stands on its own.
+/// `s = encode(sensed) ^ check` is zero exactly when the word decodes
+/// clean, so the common case costs one encode and one compare.
+/// Otherwise its low seven bits are the syndrome, and its parity is the
+/// overall mismatch: bit 7 of `encode(sensed)` is the parity of `sensed`
+/// and of its seven Hamming bits, so the parity of all eight bits of `s`
+/// is the parity of `sensed` XOR the parity of the whole stored byte.
+/// With the check store modeled reliable (as the controller models it),
+/// data errors always produce a valid data-bit syndrome; the check-bit
+/// and invalid-position cases are still classified faithfully so the
+/// codec stands on its own.
 #[must_use]
 pub fn decode(sensed: u64, check: u8) -> Decode {
-    let mut syndrome: u8 = 0;
-    for (j, mask) in MASKS.iter().enumerate() {
-        let recomputed = ((sensed & mask).count_ones() as u8) & 1;
-        syndrome |= (recomputed ^ (check >> j & 1)) << j;
+    let s = encode(sensed) ^ check;
+    if s == 0 {
+        return Decode::Clean;
     }
-    // Stored overall covers data + c0..=c6, so sensed-data parity XOR
-    // the parity of the whole stored byte is the overall mismatch.
-    let overall = (sensed.count_ones() as u8 + check.count_ones() as u8) & 1 == 1;
-    classify(syndrome, overall)
+    classify(s & 0x7F, s.count_ones() & 1 == 1)
 }
 
 /// Shared syndrome classification for the packed and reference decoders.
@@ -234,6 +275,102 @@ mod tests {
         }
         for p in [1usize, 2, 4, 8, 16, 32, 64, 0, 72, 127] {
             assert_eq!(POS_DATA[p], -1);
+        }
+    }
+
+    #[test]
+    fn every_table_entry_is_the_reference_check_byte_of_its_byte() {
+        for (k, row) in BYTE_CHECKS.iter().enumerate() {
+            for (b, &entry) in row.iter().enumerate() {
+                let word = (b as u64) << (8 * k);
+                assert_eq!(entry, encode_reference(word), "byte {b:#04x} at {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_is_linear() {
+        let words = sample_words();
+        for &a in &words {
+            for &b in &words {
+                assert_eq!(encode(a ^ b), encode(a) ^ encode(b), "{a:#x} ^ {b:#x}");
+            }
+        }
+    }
+
+    /// Flips codeword bit `bit` of `(word, check)`: bits 0–63 are data
+    /// bits, 64–71 the stored check byte.
+    fn flip(word: u64, check: u8, bit: u32) -> (u64, u8) {
+        if bit < 64 {
+            (word ^ (1u64 << bit), check)
+        } else {
+            (word, check ^ (1u8 << (bit - 64)))
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_every_single_codeword_flip() {
+        for word in sample_words() {
+            let check = encode(word);
+            for bit in 0..72 {
+                let (sensed, stored) = flip(word, check, bit);
+                assert_eq!(
+                    decode(sensed, stored),
+                    decode_reference(sensed, stored),
+                    "word {word:#x}, codeword bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_random_pairs() {
+        // Half the pairs are an arbitrary word and check byte; the other
+        // half are codewords with 0–5 distinct flips over all 72 bits, so
+        // every verdict class is reached, ≥3-flip miscorrections too.
+        let mut s = 0xDEC0DE;
+        let (mut clean, mut data, mut check_bit, mut double, mut miscorrected) = (0, 0, 0, 0, 0);
+        for i in 0..100_000 {
+            let word = splitmix(&mut s);
+            let (sensed, stored, flips) = if i % 2 == 0 {
+                (word, splitmix(&mut s) as u8, None)
+            } else {
+                let k = splitmix(&mut s) % 6;
+                let (mut sensed, mut stored) = (word, encode(word));
+                let mut used = 0u128;
+                while u64::from(used.count_ones()) < k {
+                    let bit = (splitmix(&mut s) % 72) as u32;
+                    if used & (1 << bit) == 0 {
+                        used |= 1 << bit;
+                        (sensed, stored) = flip(sensed, stored, bit);
+                    }
+                }
+                (sensed, stored, Some(k))
+            };
+            let verdict = decode(sensed, stored);
+            assert_eq!(
+                verdict,
+                decode_reference(sensed, stored),
+                "{sensed:#x}/{stored:#04x}"
+            );
+            match verdict {
+                Decode::Clean => clean += 1,
+                Decode::Single(Some(_)) => data += 1,
+                Decode::Single(None) => check_bit += 1,
+                Decode::Double => double += 1,
+            }
+            if matches!(flips, Some(k) if k >= 3) && matches!(verdict, Decode::Single(_)) {
+                miscorrected += 1;
+            }
+        }
+        for (class, n) in [
+            ("clean", clean),
+            ("data-bit single", data),
+            ("check-bit single", check_bit),
+            ("double", double),
+            ("≥3-flip miscorrection", miscorrected),
+        ] {
+            assert!(n > 0, "no {class} verdict reached");
         }
     }
 
