@@ -3,8 +3,11 @@
 //! Every physical sense or write is one counter-keyed event on its
 //! channel's draw stream, resolved by the word-packed fast path (the
 //! default) or the per-cell reference path it is pinned against
-//! (`MemConfig::reference_fault_path`). Per-row fault sites are cached
-//! for the packed path.
+//! (`MemConfig::reference_fault_path`). The packed sense reads operand
+//! words in place, where the page table stores them; only a row with a
+//! fault site among the sensed columns is copied and patched. Per-row
+//! fault sites are cached, and neither packed path consults the cache
+//! when the model cannot create a site ([`FaultModel::has_fault_sites`]).
 
 use super::MainMemory;
 use crate::address::RowAddr;
@@ -13,6 +16,7 @@ use pinatubo_nvm::fault::{CellHealth, CellId, EventKey, FaultModel};
 use pinatubo_nvm::resistance::Ohms;
 use pinatubo_nvm::sense_amp::SenseMode;
 use pinatubo_nvm::write_driver::{WriteDriver, WriteSource};
+use std::collections::HashMap;
 
 /// One cached [`FaultModel::row_fault_sites`] result: the ascending
 /// `(bit, held value)` fault sites of a row at a given wear level, over
@@ -24,40 +28,33 @@ pub(super) struct CachedRowSites {
     sites: Vec<(u64, bool)>,
 }
 
-impl MainMemory {
-    /// The ascending fault sites (stuck + endurance-dead cells) of one row
-    /// over its first `cols` columns, cached per row. A cached entry is
-    /// reused when its wear level matches and it covers at least `cols`
-    /// columns; otherwise it is regenerated from the model.
-    fn row_sites(
-        &mut self,
-        model: &FaultModel,
-        row_key: u64,
-        writes: u64,
-        cols: u64,
-    ) -> Vec<(u64, bool)> {
-        match self.fault_sites.get(&row_key) {
-            Some(c) if c.writes == writes && c.cols >= cols => {}
-            _ => {
-                let sites = model.row_fault_sites(row_key, writes, cols);
-                self.fault_sites.insert(
-                    row_key,
-                    CachedRowSites {
-                        writes,
-                        cols,
-                        sites,
-                    },
-                );
-            }
-        }
-        self.fault_sites[&row_key]
-            .sites
-            .iter()
-            .copied()
-            .take_while(|&(bit, _)| bit < cols)
-            .collect()
+/// The ascending fault sites (stuck + endurance-dead cells) of one row
+/// over its first `cols` columns, as a slice of the cache. A cached entry
+/// is reused when its wear level matches and it covers at least `cols`
+/// columns; otherwise it is regenerated from the model. Takes the cache
+/// field alone, so the caller may read the page table while it holds
+/// the slice.
+fn row_sites<'c>(
+    cache: &'c mut HashMap<u64, CachedRowSites>,
+    model: &FaultModel,
+    row_key: u64,
+    writes: u64,
+    cols: u64,
+) -> &'c [(u64, bool)] {
+    let fresh = || CachedRowSites {
+        writes,
+        cols,
+        sites: model.row_fault_sites(row_key, writes, cols),
+    };
+    let cached = cache.entry(row_key).or_insert_with(fresh);
+    if cached.writes != writes || cached.cols < cols {
+        *cached = fresh();
     }
+    let below = cached.sites.partition_point(|&(bit, _)| bit < cols);
+    &cached.sites[..below]
+}
 
+impl MainMemory {
     /// Physical sensing with faults injected, as one counter-keyed event:
     /// claims the channel's next [`EventKey`] and dispatches to the
     /// word-packed fast path (the default) or the per-cell reference path
@@ -91,12 +88,35 @@ impl MainMemory {
         out
     }
 
-    /// The O(words + fault sites) sense path. The stored operand words are
-    /// patched at their sparse fault sites so they hold the per-cell
-    /// *effective* bits, then whole ones-count classes are classified as
+    /// The first `cols` effective bits of `addr` when a fault site falls
+    /// among them: the stored row zero-extended or cut to `cols`, then
+    /// patched at its sites. `None` when the stored bits are already the
+    /// effective ones, so the caller reads them in place.
+    fn patched_row(&mut self, addr: RowAddr, model: &FaultModel, cols: u64) -> Option<RowData> {
+        let key = addr.to_linear(&self.config.geometry);
+        let writes = self.row_wear(addr);
+        let sites = row_sites(&mut self.fault_sites, model, key, writes, cols);
+        if sites.is_empty() {
+            return None;
+        }
+        let mut row = self.rows.get(addr).cloned().unwrap_or_default();
+        row.resize(cols);
+        for &(bit, value) in sites {
+            row.set(bit, value);
+        }
+        Some(row)
+    }
+
+    /// The O(words + fault sites) sense path. Operand words are read in
+    /// place from the page table: a stored row narrower than `cols` reads
+    /// as zero-extended, a wider one is cut at `cols`. Only a row with a
+    /// fault site below `cols` is copied and patched to hold its
+    /// *effective* bits. Whole ones-count classes are then classified as
     /// certainly-0 / certainly-1 through conservative bit-line resistance
-    /// intervals (every residual / drift draw is bounded); only columns in
-    /// a class straddling the reference are evaluated through the exact
+    /// intervals (every residual / drift draw is bounded), over the
+    /// bit-sliced "at least `j` ones" planes the event's classes need;
+    /// the output is one of those planes, moved out. Only columns in a
+    /// class straddling the reference are evaluated through the exact
     /// per-column model — the same evaluator the reference path uses, so
     /// even their floating-point rounding agrees. The transient-flip chain
     /// lands word-wise on top.
@@ -108,15 +128,25 @@ impl MainMemory {
         model: &FaultModel,
         event: &EventKey,
     ) -> RowData {
-        let mut patched: Vec<(u64, RowData)> = Vec::with_capacity(operands.len());
-        for &a in operands {
-            let key = a.to_linear(&self.config.geometry);
-            let mut row = self.load(a, cols);
-            for (bit, value) in self.row_sites(model, key, self.row_wear(a), cols) {
-                row.set(bit, value);
-            }
-            patched.push((key, row));
-        }
+        // The only mutation: fill the site cache and patch copies of the
+        // rows that have sites. Everything after reads `self` in place.
+        let patched: Vec<Option<RowData>> = if model.has_fault_sites() {
+            operands
+                .iter()
+                .map(|&a| self.patched_row(a, model, cols))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let rows: Vec<&[u64]> = operands
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let row = patched.get(i).and_then(Option::as_ref);
+                row.or_else(|| self.peek_row(a))
+                    .map_or(&[][..], RowData::as_words)
+            })
+            .collect();
         let sa = self.sense_amp.as_ref().expect("resistive technology");
         let tech = &self.config.technology;
         let margin = sa.margin(mode);
@@ -126,7 +156,7 @@ impl MainMemory {
         // a resistance inside `[r_min(b), r_max(b)]` for *every* possible
         // residual and drift draw, so the bit line of a column with `k`
         // effective ones lies inside an interval depending only on `k`.
-        let fan_in = patched.len();
+        let fan_in = rows.len();
         let (res_lo, res_hi) = model.residual_bounds(tech);
         let drift = 1.0 + model.drift_spread.max(0.0);
         let r_on = tech.cell_resistance(true).get() * global;
@@ -160,53 +190,76 @@ impl MainMemory {
             }
         }
 
-        // Bit-sliced ones counting: ge[j] marks the columns whose patched
-        // ones count is at least j, built word-wise over the operand rows.
+        // Bit-sliced ones counting: planes[j - 1] marks the columns whose
+        // effective ones count is at least j, for j in 1..=jcap (k1 and
+        // the band's lower edge are the only classes read; "at least 0"
+        // is every column and needs no plane). Each update is one
+        // word-wise pass over a plane, so it vectorizes; the zip ends at
+        // the plane's last word, so a narrower row adds nothing past its
+        // own. A wider row carries bits past `cols` into the last word;
+        // masking them off keeps each plane a valid `cols`-bit row.
         let nw = cols.div_ceil(64) as usize;
-        let mut all = vec![u64::MAX; nw];
-        if cols % 64 != 0 {
-            all[nw - 1] = (1u64 << (cols % 64)) - 1;
-        }
+        let tail = match cols % 64 {
+            0 => u64::MAX,
+            r => (1u64 << r) - 1,
+        };
         let jcap = k1.min(fan_in);
-        let mut ge: Vec<Vec<u64>> = Vec::with_capacity(jcap + 1);
-        ge.push(all);
-        ge.extend(std::iter::repeat_with(|| vec![0u64; nw]).take(jcap));
-        for (i, (_, row)) in patched.iter().enumerate() {
-            let rw = row.as_words();
-            for j in (1..=jcap.min(i + 1)).rev() {
-                let (lo, hi) = ge.split_at_mut(j);
-                for ((cur, &prev), &word) in hi[0].iter_mut().zip(&lo[j - 1]).zip(rw) {
+        let mut planes: Vec<RowData> = (0..jcap).map(|_| RowData::zeros(cols)).collect();
+        for (i, &row) in rows.iter().enumerate() {
+            for p in (1..jcap.min(i + 1)).rev() {
+                let (lo, hi) = planes.split_at_mut(p);
+                let prev = lo[p - 1].as_words();
+                for ((cur, &prev), &word) in hi[0].as_words_mut().iter_mut().zip(prev).zip(row) {
                     *cur |= prev & word;
                 }
             }
-        }
-        let mut out = if k1 <= fan_in {
-            ge[k1].clone()
-        } else {
-            vec![0u64; nw]
-        };
-        let ambiguous: Vec<u64> = if k0_excl < k1 && k0_excl <= fan_in {
-            ge[k0_excl]
-                .iter()
-                .zip(&out)
-                .map(|(&a, &b)| a & !b)
-                .collect()
-        } else {
-            vec![0u64; nw]
-        };
-
-        // Exact evaluation of the (rare) ambiguous columns.
-        let mut cells: Vec<(u64, bool)> = patched.iter().map(|&(key, _)| (key, false)).collect();
-        for (w, &mask) in ambiguous.iter().enumerate() {
-            let mut m = mask;
-            while m != 0 {
-                let col = w as u64 * 64 + u64::from(m.trailing_zeros());
-                m &= m - 1;
-                for (slot, (_, row)) in cells.iter_mut().zip(&patched) {
-                    slot.1 = row.get(col);
+            if let Some(first) = planes.first_mut() {
+                for (cur, &word) in first.as_words_mut().iter_mut().zip(row) {
+                    *cur |= word;
                 }
-                if sa.sense_column_physical(&margin, model, event, global, &cells, col) {
-                    out[w] |= 1 << (col % 64);
+            }
+        }
+        for plane in &mut planes {
+            if let Some(last) = plane.as_words_mut().last_mut() {
+                *last &= tail;
+            }
+        }
+        let mut out = match k1 {
+            0 => {
+                let mut all = RowData::zeros(cols);
+                all.invert();
+                all
+            }
+            k if k <= fan_in => planes.pop().expect("jcap == k1 planes were built"),
+            _ => RowData::zeros(cols),
+        };
+        let words = out.as_words_mut();
+
+        // Exact evaluation of the (rare) ambiguous columns: the band
+        // "at least k0_excl ones, not certainly 1", word by word.
+        if k0_excl < k1 && k0_excl <= fan_in {
+            let geometry = &self.config.geometry;
+            let mut cells: Vec<(u64, bool)> = operands
+                .iter()
+                .map(|a| (a.to_linear(geometry), false))
+                .collect();
+            for (w, out_word) in words.iter_mut().enumerate() {
+                let at_least = match k0_excl {
+                    0 if w + 1 == nw => tail,
+                    0 => u64::MAX,
+                    j => planes[j - 1].as_words()[w],
+                };
+                let mut m = at_least & !*out_word;
+                while m != 0 {
+                    let bit = m.trailing_zeros();
+                    m &= m - 1;
+                    for (slot, row) in cells.iter_mut().zip(&rows) {
+                        slot.1 = row.get(w).is_some_and(|&word| word >> bit & 1 == 1);
+                    }
+                    let col = w as u64 * 64 + u64::from(bit);
+                    if sa.sense_column_physical(&margin, model, event, global, &cells, col) {
+                        *out_word |= 1 << bit;
+                    }
                 }
             }
         }
@@ -214,9 +267,9 @@ impl MainMemory {
         // Transient latch flips, straight from the event's geometric chain.
         let p = model.transient_flip_probability(mode);
         for col in event.transient_flips(p, cols) {
-            out[(col / 64) as usize] ^= 1 << (col % 64);
+            words[(col / 64) as usize] ^= 1 << (col % 64);
         }
-        RowData::from_words(out, cols)
+        out
     }
 
     /// The per-cell reference sense path, the oracle the packed path is
@@ -276,14 +329,12 @@ impl MainMemory {
             .expect("fault injection enabled");
         let model = *state.model();
         let event = state.next_event();
-        let key = addr.to_linear(&self.config.geometry);
-        // The pulse in flight stresses the cells on top of the wear
-        // charged so far (row-level wear stands in for per-cell counts).
-        let writes = self.row_wear(addr) + 1;
         let stored = if self.config.reference_fault_path {
+            let key = addr.to_linear(&self.config.geometry);
+            let writes = self.pulse_wear(addr);
             self.store_physical_reference(key, data, source, &model, &event, writes)
         } else {
-            self.store_physical_packed(key, data, &model, &event, writes)
+            self.store_physical_packed(addr, data, &model, &event)
         };
         self.stats.reliability.physical_writes += 1;
         let bad = stored.count_diff(data);
@@ -291,16 +342,23 @@ impl MainMemory {
         bad
     }
 
+    /// The wear a write's cells see: the pulse in flight stresses them on
+    /// top of the writes charged so far (row-level wear stands in for
+    /// per-cell counts).
+    fn pulse_wear(&self, addr: RowAddr) -> u64 {
+        self.row_wear(addr) + 1
+    }
+
     /// Packed write commit: the whole row is `data XOR write-flip chain`,
     /// then the sparse fault sites override their columns (stuck cells
-    /// ignore the pulse entirely). O(words + flips + fault sites).
+    /// ignore the pulse entirely). O(words + flips + fault sites); the
+    /// site cache is not consulted when the model cannot create a site.
     fn store_physical_packed(
         &mut self,
-        key: u64,
+        addr: RowAddr,
         data: &RowData,
         model: &FaultModel,
         event: &EventKey,
-        writes: u64,
     ) -> RowData {
         let bits = data.len_bits();
         let mut stored = data.clone();
@@ -308,8 +366,12 @@ impl MainMemory {
         for col in event.write_flips(model.write_flip, bits) {
             words[(col / 64) as usize] ^= 1 << (col % 64);
         }
-        for (bit, value) in self.row_sites(model, key, writes, bits) {
-            stored.set(bit, value);
+        if model.has_fault_sites() {
+            let key = addr.to_linear(&self.config.geometry);
+            let writes = self.pulse_wear(addr);
+            for &(bit, value) in row_sites(&mut self.fault_sites, model, key, writes, bits) {
+                stored.set(bit, value);
+            }
         }
         stored
     }

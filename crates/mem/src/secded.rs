@@ -247,22 +247,12 @@ pub fn decode_reference(sensed: u64, check: u8) -> Decode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// SplitMix64 — a throwaway deterministic word generator for the
-    /// exhaustive-ish sweeps (the workspace PRNG lives upstream in
-    /// `pinatubo_core`, which depends on this crate).
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use pinatubo_nvm::rng::splitmix64;
 
     fn sample_words() -> Vec<u64> {
         let mut words = vec![0, u64::MAX, 1, 1 << 63, 0xAAAA_AAAA_AAAA_AAAA];
         let mut s = 0x5EED;
-        words.extend((0..64).map(|_| splitmix(&mut s)));
+        words.extend((0..64).map(|_| splitmix64(&mut s)));
         words
     }
 
@@ -331,15 +321,15 @@ mod tests {
         let mut s = 0xDEC0DE;
         let (mut clean, mut data, mut check_bit, mut double, mut miscorrected) = (0, 0, 0, 0, 0);
         for i in 0..100_000 {
-            let word = splitmix(&mut s);
+            let word = splitmix64(&mut s);
             let (sensed, stored, flips) = if i % 2 == 0 {
-                (word, splitmix(&mut s) as u8, None)
+                (word, splitmix64(&mut s) as u8, None)
             } else {
-                let k = splitmix(&mut s) % 6;
+                let k = splitmix64(&mut s) % 6;
                 let (mut sensed, mut stored) = (word, encode(word));
                 let mut used = 0u128;
                 while u64::from(used.count_ones()) < k {
-                    let bit = (splitmix(&mut s) % 72) as u32;
+                    let bit = (splitmix64(&mut s) % 72) as u32;
                     if used & (1 << bit) == 0 {
                         used |= 1 << bit;
                         (sensed, stored) = flip(sensed, stored, bit);
@@ -439,9 +429,9 @@ mod tests {
         // documented parity blind spot — but always raise Double here.
         let mut s = 0xA11A5;
         for _ in 0..256 {
-            let word = splitmix(&mut s);
-            let a = (splitmix(&mut s) % 64) as u32;
-            let b = (splitmix(&mut s) % 64) as u32;
+            let word = splitmix64(&mut s);
+            let a = (splitmix64(&mut s) % 64) as u32;
+            let b = (splitmix64(&mut s) % 64) as u32;
             if a == b {
                 continue;
             }

@@ -258,6 +258,15 @@ impl FaultModel {
             && self.write_flip <= 0.0
     }
 
+    /// `true` when some mechanism can create a fault site: manufactured
+    /// stuck-at cells or endurance wear-out. When `false`,
+    /// [`FaultModel::row_fault_sites`] is empty for every row, wear level
+    /// and width, so callers may skip the lookup.
+    #[must_use]
+    pub fn has_fault_sites(&self) -> bool {
+        self.stuck_at_zero > 0.0 || self.stuck_at_one > 0.0 || self.endurance.is_some()
+    }
+
     /// The transient latch-flip probability for one sense under `mode`.
     #[must_use]
     pub fn transient_flip_probability(&self, mode: SenseMode) -> f64 {
@@ -819,6 +828,23 @@ mod tests {
             }
             assert!(cursor.peek().is_none(), "no sites past cols");
         }
+    }
+
+    #[test]
+    fn only_stuck_at_and_endurance_create_fault_sites() {
+        let site_free = FaultModel::with_seed(5)
+            .with_drift(0.05)
+            .with_variation(VariationModel::Gaussian)
+            .with_transients(0.1, 0.1, 0.1)
+            .with_write_flips(0.1);
+        assert!(!site_free.has_fault_sites());
+        assert!(!FaultModel::none().has_fault_sites());
+        for writes in [0, u64::MAX] {
+            assert!(site_free.row_fault_sites(3, writes, 4096).is_empty());
+        }
+        assert!(site_free.with_stuck_at(1e-3, 0.0).has_fault_sites());
+        assert!(site_free.with_stuck_at(0.0, 1e-3).has_fault_sites());
+        assert!(site_free.with_endurance(10, 0.5).has_fault_sites());
     }
 
     #[test]

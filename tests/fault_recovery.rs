@@ -430,6 +430,123 @@ fn packed_path_matches_reference_at_the_margin_cap() {
     assert_eq!(ledgers[0], ledgers[1], "fan-in-128 ledgers diverge");
 }
 
+/// serve_faulty's shape of fault model: Gaussian variation, transients and
+/// write flips, with no stuck-at cells and no endurance limit, so no row
+/// ever has a fault site. The rates fire on ~1000-bit rows.
+fn site_free(seed: u64) -> FaultModel {
+    FaultModel::with_seed(seed)
+        .with_variation(VariationModel::Gaussian)
+        .with_transients(1e-3, 1e-3, 1e-3)
+        .with_write_flips(1e-3)
+}
+
+/// Senses operand rows stored at widths other than the sensed `cols` —
+/// narrower (100 bits), wider with a non-×64 tail (1000 bits) and never
+/// written — alone, in pairs and four at a time, and returns each
+/// command's outcome. Under `all_classes` the wide row is rewritten past
+/// the endurance floor, so it carries fault sites at every width, while
+/// the once-written rows mostly carry none below the narrower widths.
+fn drive_stored_widths(mem: &mut MainMemory, seed: u64) -> Vec<Option<RowData>> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let row = |r| RowAddr::new(0, 0, 0, 0, r);
+    let (narrow, wide, wide2, blank) = (row(0), row(1), row(2), row(3));
+    let mut transcript = Vec::new();
+    for (addr, bits, writes) in [(narrow, 100u64, 1), (wide, 1000, 12), (wide2, 1000, 1)] {
+        for _ in 0..writes {
+            let data: RowData = (0..bits).map(|_| rng.gen_bit()).collect();
+            let ok = mem.write_row_local(addr, data).is_ok();
+            transcript.push(ok.then(|| mem.peek_row(addr).expect("written").clone()));
+        }
+    }
+    let sets: [&[RowAddr]; 7] = [
+        &[narrow],
+        &[wide],
+        &[blank],
+        &[narrow, wide],
+        &[wide, wide2],
+        &[wide2, blank],
+        &[narrow, wide, wide2, blank],
+    ];
+    for cols in [37u64, 130, 700] {
+        for ops in sets {
+            let modes = match ops.len() {
+                1 => vec![SenseMode::Read],
+                2 => vec![
+                    SenseMode::and(2).expect("AND-2"),
+                    SenseMode::or(2).expect("OR-2"),
+                ],
+                n => vec![SenseMode::or(n).expect("OR-4")],
+            };
+            for mode in modes {
+                transcript.push(mem.multi_activate_sense(ops, mode, cols).ok());
+                match mem.multi_activate_sense_protected(ops, mode, cols) {
+                    Ok(out) => transcript.push(Some(out)),
+                    Err(_) => {
+                        mem.note_rmw_fallback();
+                        mem.note_recovery_resolved();
+                        transcript.push(None);
+                    }
+                }
+            }
+            if let [addr] = ops {
+                transcript.push(mem.activate_read(*addr, cols).ok());
+            }
+        }
+    }
+    transcript
+}
+
+/// The packed path reads operands in place whatever width they were
+/// stored at: a narrower row reads as zero-extended, a wider one as cut
+/// at `cols` with its tail masked, a never-written one as zeros. At
+/// fan-ins 1, 2 and 4, protected or not, under every fault class and
+/// under a model that cannot create a fault site, it matches the per-cell
+/// reference bit for bit.
+#[test]
+fn packed_path_reads_rows_of_any_stored_width_in_place() {
+    let mut injected = [0u64; 2];
+    for seed in [3u64, 4] {
+        let models = [
+            ("all classes", all_classes(seed, VariationModel::Gaussian)),
+            ("site-free", site_free(seed)),
+        ];
+        for (m, (name, model)) in models.into_iter().enumerate() {
+            for protected in [false, true] {
+                let reliability = if protected {
+                    ReliabilityConfig::protected_secded()
+                } else {
+                    ReliabilityConfig::off()
+                };
+                let mut packed = physical_mem(model, reliability, false);
+                let mut reference = physical_mem(model, reliability, true);
+                let packed_out = drive_stored_widths(&mut packed, seed);
+                let ref_out = drive_stored_widths(&mut reference, seed);
+                let ctx = format!("seed {seed}, {name}, protected {protected}");
+                assert_eq!(packed_out, ref_out, "{ctx}: transcripts diverge");
+                let (packed_rel, ref_rel) =
+                    (packed.stats().reliability, reference.stats().reliability);
+                assert_eq!(packed_rel, ref_rel, "{ctx}: ledgers diverge");
+                assert_eq!(
+                    packed.stats().events,
+                    reference.stats().events,
+                    "{ctx}: command streams diverge"
+                );
+                assert_eq!(
+                    packed.stats().time_ns,
+                    reference.stats().time_ns,
+                    "{ctx}: timing diverges"
+                );
+                assert!(packed_rel.is_consistent(), "{ctx}: {packed_rel:?}");
+                injected[m] += packed_rel.injected_bit_errors + packed_rel.injected_write_faults;
+            }
+        }
+    }
+    assert!(
+        injected.iter().all(|&n| n > 0),
+        "both models must actually inject faults: {injected:?}"
+    );
+}
+
 /// The SEC-DED read path rides the same packed physical fault machinery,
 /// so the PR-4 equivalence matrix must hold under
 /// [`ReliabilityConfig::protected_secded`] too: bit-identical transcripts,
