@@ -508,6 +508,46 @@ impl MainMemory {
         mode: SenseMode,
         cols: u64,
     ) -> Result<(RowData, Option<RowData>), MemError> {
+        self.open_rows(operands, mode, cols)?;
+        // Functional combine, word-wise over the open rows. With fault
+        // injection enabled the returned value is instead re-derived by
+        // physical sensing; the word-wise result serves as the ground
+        // truth for the injected-error tally and rides back to the caller.
+        let truth = self.functional_combine(operands, mode, cols);
+        let (out, truth) = if self.fault.is_empty() {
+            (truth, None)
+        } else {
+            (
+                self.sense_physical(operands, mode, cols, &truth),
+                Some(truth),
+            )
+        };
+        self.charge_activation(operands, cols);
+        Ok((out, truth))
+    }
+
+    /// A re-calibrated retry of a faulty sense: the same validation, latch
+    /// protocol, physical sense and charges as
+    /// [`MainMemory::multi_activate_sense_full`], against the functional
+    /// `truth` the recovery ladder already holds (the operand rows have not
+    /// changed since it was combined, so recombining them would rebuild it
+    /// bit for bit).
+    fn reactivate_sense(
+        &mut self,
+        operands: &[RowAddr],
+        mode: SenseMode,
+        cols: u64,
+        truth: &RowData,
+    ) -> Result<RowData, MemError> {
+        self.open_rows(operands, mode, cols)?;
+        let out = self.sense_physical(operands, mode, cols, truth);
+        self.charge_activation(operands, cols);
+        Ok(out)
+    }
+
+    /// Validates one multi-row activation and exercises the LWL latch
+    /// protocol for its rows.
+    fn open_rows(&self, operands: &[RowAddr], mode: SenseMode, cols: u64) -> Result<(), MemError> {
         self.validate_cols_nonzero(cols)?;
         self.require_sense_amp()?;
         // Fan-in check against the cached margin-analysis result (the
@@ -542,22 +582,13 @@ impl MainMemory {
         for op in operands {
             lwl.latch(op.row as usize)?;
         }
+        Ok(())
+    }
 
-        // Functional combine, word-wise over the open rows. With fault
-        // injection enabled the returned value is instead re-derived by
-        // physical sensing; the word-wise result serves as the ground
-        // truth for the injected-error tally and rides back to the caller.
-        let truth = self.functional_combine(operands, mode, cols);
-        let (out, truth) = if self.fault.is_empty() {
-            (truth, None)
-        } else {
-            (
-                self.sense_physical(operands, mode, cols, &truth),
-                Some(truth),
-            )
-        };
-
-        // Accounting.
+    /// Charges one multi-row activation of `operands`, `cols` bits wide:
+    /// the tRRD/tFAW gate, activate, sense passes and precharge.
+    fn charge_activation(&mut self, operands: &[RowAddr], cols: u64) {
+        let first = operands[0];
         let g = &self.config.geometry;
         let passes = g.sense_passes(cols);
         let row_bits = g.logical_row_bits();
@@ -602,7 +633,6 @@ impl MainMemory {
         self.stats.time.precharge_ns += t.t_rp_ns;
         self.stats.energy.precharge_pj += e.precharge_pj(row_bits);
         self.stats.events.precharges += 1;
-        Ok((out, truth))
     }
 
     /// Reads the first `cols` bits of one row into the subarray's SA latch
@@ -1047,7 +1077,7 @@ impl MainMemory {
         for _ in 0..retries {
             self.stats.reliability.sense_retries += 1;
             self.charge_recalibration();
-            let again = self.multi_activate_sense(operands, mode, cols)?;
+            let again = self.reactivate_sense(operands, mode, cols, &truth)?;
             if self.resense(operands, mode, cols, &truth) == again {
                 self.stats.reliability.corrected_errors += 1;
                 self.note_accepted(&truth, &again);

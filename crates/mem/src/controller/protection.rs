@@ -63,8 +63,7 @@ impl MainMemory {
                 for _ in 0..self.config.reliability.max_sense_retries {
                     self.stats.reliability.sense_retries += 1;
                     self.charge_recalibration();
-                    let operands = [addr];
-                    let mut again = self.multi_activate_sense(&operands, SenseMode::Read, cols)?;
+                    let mut again = self.reactivate_sense(&[addr], SenseMode::Read, cols, truth)?;
                     self.charge_ecc_check(cols);
                     match self.secded_scan(addr, &mut again) {
                         SecdedScan::Clean => {

@@ -21,6 +21,15 @@
 //!   parent; [`ExecSession::store`] also writes through the parent and
 //!   pushes the write back out.
 //!
+//! Each request's cost summary is handed back once, by the sync point
+//! that completes it: [`ExecSession::sync`] returns the summaries of
+//! every request completed since the previous hand-back (and pushes their
+//! abstract trace records to the parent), and [`ExecSession::close`]
+//! returns the rest. Straddling requests, `load` and `store` settle state
+//! but hand nothing back; their results wait for the caller's next `sync`
+//! or `close`. A long-lived session therefore holds per-request state for
+//! the current round only, however many requests it has run.
+//!
 //! Every request takes one path: [`ExecSession::submit_batch`] shares the
 //! batch with the workers as one slab, and [`ExecSession::submit`] is a
 //! one-request slab (planning one request is the identity). The operand
@@ -282,13 +291,17 @@ pub struct ExecSession<'a> {
     thread_of: HashMap<u32, usize>,
     /// Per-worker submission-ordered job buffers, flushed as one
     /// [`WorkerMsg::Run`] slab at [`flush_threshold`] jobs and at every
-    /// sync point (results are only observable at sync points, so
-    /// buffering never changes what a caller can see).
+    /// sync point (a caller sees memory only at sync points and
+    /// summaries only at `sync`/`close`, so buffering never changes what
+    /// it can see).
     pending: Vec<Vec<Job>>,
     /// Cached [`flush_threshold`] for this session.
     flush_jobs: usize,
-    /// Per-submission result slots, submission order.
+    /// Result slots of the requests not yet handed back, submission
+    /// order: slot `i` belongs to position `handed_back + i`.
     slots: Vec<Option<(OpSummary, BulkOp)>>,
+    /// Positions already handed back, so `slots` starts there.
+    handed_back: usize,
     first_err: Option<(usize, RuntimeError)>,
     /// Every error observed so far, keyed by submission position — the
     /// root-cause failure *and* the [`RuntimeError::ChannelHalted`]
@@ -350,6 +363,7 @@ impl PimSystem {
             pending,
             flush_jobs: flush_threshold(),
             slots: Vec::new(),
+            handed_back: 0,
             first_err: None,
             errors: std::collections::BTreeMap::new(),
             last_op: None,
@@ -398,7 +412,7 @@ impl ExecSession<'_> {
         if let Some((_, e)) = &self.first_err {
             return Err(e.clone());
         }
-        let pos = self.slots.len();
+        let pos = self.handed_back + self.slots.len();
         let request = &slab[index];
         let (op, dst) = (request.op, &request.dst);
         let operands: Vec<&PimBitVec> = request.operands.iter().collect();
@@ -429,10 +443,9 @@ impl ExecSession<'_> {
                 // Straddling request: explicit sync point. Drain every
                 // queue, run on the unified (reconciled) memory, push
                 // the touched state back out to the owning shards.
-                self.sync_internal();
-                if let Some((_, e)) = &self.first_err {
+                if let Err(e) = self.settle() {
                     self.slots.push(None);
-                    return Err(e.clone());
+                    return Err(e);
                 }
                 self.system
                     .engine_mut()
@@ -487,57 +500,65 @@ impl ExecSession<'_> {
         Ok(positions)
     }
 
-    /// Drains every channel queue and folds the shards' dirty-state
-    /// deltas and statistics into the parent system.
+    /// Drains every channel queue, folds the shards' dirty-state deltas
+    /// and statistics into the parent system, and hands back every
+    /// request completed since the previous hand-back: their abstract
+    /// trace records are pushed to the parent and their cost summaries
+    /// returned, both in submission order. Each summary is handed back
+    /// exactly once; the session keeps nothing of a request after it.
     ///
     /// # Errors
     ///
     /// The earliest-submitted failed request's error, if any request has
     /// failed so far (including worker panics, reported as
-    /// [`RuntimeError::WorkerPanicked`]).
-    pub fn sync(&mut self) -> Result<(), RuntimeError> {
-        self.sync_internal();
-        match &self.first_err {
-            Some((_, e)) => Err(e.clone()),
-            None => Ok(()),
-        }
+    /// [`RuntimeError::WorkerPanicked`]). Nothing is handed back then:
+    /// the completed requests' results stay for [`ExecSession::close`],
+    /// and a failed session accepts no further submissions.
+    pub fn sync(&mut self) -> Result<Vec<OpSummary>, RuntimeError> {
+        self.settle()?;
+        Ok(self.hand_back())
     }
 
     /// Stores bits into a vector through the parent system (a sync
     /// point: the write must be visible to subsequently submitted
     /// requests, so it lands on the parent and is pushed back out to
-    /// the owning shards).
+    /// the owning shards). Hands nothing back: the summaries of the
+    /// requests it completes arrive at the next [`ExecSession::sync`] or
+    /// [`ExecSession::close`].
     ///
     /// # Errors
     ///
     /// See [`ExecSession::sync`] and [`PimSystem::store`].
     pub fn store(&mut self, vec: &PimBitVec, bits: &[bool]) -> Result<(), RuntimeError> {
-        self.sync()?;
+        self.settle()?;
         self.system.store(vec, bits)?;
         self.push_back_parent_writes();
         Ok(())
     }
 
-    /// Reads a vector's bits back (a sync point).
+    /// Reads a vector's bits back (a sync point). Like
+    /// [`ExecSession::store`], it hands nothing back.
     ///
     /// # Errors
     ///
     /// See [`ExecSession::sync`].
     pub fn load(&mut self, vec: &PimBitVec) -> Result<Vec<bool>, RuntimeError> {
-        self.sync()?;
+        self.settle()?;
         Ok(self.system.load(vec))
     }
 
-    /// Ends the session: final sync, worker shutdown, and the abstract
-    /// trace of every completed request pushed to the parent in
-    /// submission order. Returns the per-request cost summaries, in
-    /// submission order.
+    /// Ends the session: final sync, worker shutdown, and the hand-back
+    /// of every request no [`ExecSession::sync`] has returned — their
+    /// abstract trace records pushed to the parent and their cost
+    /// summaries returned, both in submission order. A session that is
+    /// never synced returns every summary here.
     ///
     /// # Errors
     ///
     /// The earliest-submitted failed request's error. Committed work —
     /// everything synced from healthy channels — stays in the parent
-    /// system either way.
+    /// system either way, and the completed requests' trace records are
+    /// pushed either way.
     pub fn close(mut self) -> Result<Vec<OpSummary>, RuntimeError> {
         self.sync_internal();
         self.shutdown();
@@ -551,27 +572,47 @@ impl ExecSession<'_> {
                     .preload_pim_config(mode_for(op));
             }
         }
-        let slots = std::mem::take(&mut self.slots);
-        let mut summaries = Vec::with_capacity(slots.len());
-        for (summary, record) in slots.into_iter().flatten() {
-            self.system.push_trace(record);
-            summaries.push(summary);
-        }
+        let summaries = self.hand_back();
         match self.first_err.take() {
             Some((_, e)) => Err(e),
             None => Ok(summaries),
         }
     }
 
-    /// Every error recorded so far, keyed by submission position. A
-    /// failed request's position carries its root cause; positions
-    /// queued behind it on the same channel carry
-    /// [`RuntimeError::ChannelHalted`]. Complete only after a sync
-    /// point ([`ExecSession::sync`], [`ExecSession::load`] or
+    /// Every error recorded so far, keyed by submission position (the
+    /// value [`ExecSession::submit`] returned, counted over the session's
+    /// whole life). A failed request's position carries its root cause;
+    /// positions queued behind it on the same channel carry
+    /// [`RuntimeError::ChannelHalted`]. Complete only after a sync point
+    /// ([`ExecSession::sync`], [`ExecSession::load`] or
     /// [`ExecSession::store`]).
     #[must_use]
     pub fn position_errors(&self) -> &std::collections::BTreeMap<usize, RuntimeError> {
         &self.errors
+    }
+
+    /// Drains every queue and folds the shards into the parent, handing
+    /// nothing back; reports the earliest failure, if any.
+    fn settle(&mut self) -> Result<(), RuntimeError> {
+        self.sync_internal();
+        match &self.first_err {
+            Some((_, e)) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
+
+    /// Hands back every retained result: pushes the completed requests'
+    /// trace records to the parent and returns their summaries, both in
+    /// submission order (failed positions have neither). Call only after
+    /// a sync point, when every retained position has resolved.
+    fn hand_back(&mut self) -> Vec<OpSummary> {
+        self.handed_back += self.slots.len();
+        let mut summaries = Vec::with_capacity(self.slots.len());
+        for (summary, record) in self.slots.drain(..).flatten() {
+            self.system.push_trace(record);
+            summaries.push(summary);
+        }
+        summaries
     }
 
     fn note_err(&mut self, pos: usize, e: RuntimeError) {
@@ -633,7 +674,7 @@ impl ExecSession<'_> {
             }
             for (pos, result) in sync.results {
                 match result {
-                    Ok(v) => self.slots[pos] = Some(v),
+                    Ok(v) => self.slots[pos - self.handed_back] = Some(v),
                     Err(e) => self.note_err(pos, e),
                 }
             }
@@ -785,6 +826,39 @@ mod tests {
             assert_rejected_eagerly(&[100, 200], 100, as_batch, &mismatch(200));
             assert_rejected_eagerly(&[100, 100], 50, as_batch, &mismatch(50));
         }
+    }
+
+    /// The memory bound itself: after every `sync()` the session retains
+    /// no per-request result, while `load` and `store` retain theirs for
+    /// the next hand-back.
+    #[test]
+    fn sync_leaves_no_result_slot_behind() {
+        let mut s = sys();
+        let groups: Vec<Vec<PimBitVec>> = (0..4)
+            .map(|_| s.alloc_group(3, 4096).expect("group"))
+            .collect();
+        let bits: Vec<bool> = (0..4096).map(|i| i % 3 == 0).collect();
+        let mut session = s.open_session_with_workers(2);
+        let mut submitted = 0;
+        for round in 0..5 {
+            for g in &groups {
+                session
+                    .submit(BitwiseOp::Or, &[&g[0], &g[1]], &g[2])
+                    .expect("submit");
+                submitted += 1;
+            }
+            match round {
+                1 => drop(session.load(&groups[0][2]).expect("load")),
+                2 => session.store(&groups[1][0], &bits).expect("store"),
+                _ => {}
+            }
+            assert_eq!(session.slots.len(), groups.len(), "round {round} retained");
+            assert_eq!(session.sync().expect("sync").len(), groups.len());
+            assert!(session.slots.is_empty(), "round {round} left slots behind");
+            assert_eq!(session.handed_back, submitted);
+        }
+        assert!(session.close().expect("close").is_empty());
+        assert_eq!(s.trace().len(), submitted);
     }
 
     #[test]

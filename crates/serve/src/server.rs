@@ -739,9 +739,11 @@ impl ServeSession<'_> {
     }
 
     /// One completion barrier: drains the worker pool and retires (and
-    /// times) every batch dispatched since the last sync.
+    /// times) every batch dispatched since the last sync. The per-request
+    /// cost summaries the session hands back are dropped unread, so the
+    /// session holds at most one sync cadence of results.
     fn complete_sync(&mut self) -> Result<usize, ServeError> {
-        self.session.sync()?;
+        drop(self.session.sync()?);
         let completed = self.dispatched.len();
         for done in self.dispatched.drain(..) {
             for (c, n) in done.per_channel {

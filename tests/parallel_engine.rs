@@ -347,7 +347,7 @@ fn interleaved_submit_sync_matches_serial_reference() {
         session
             .submit(BitwiseOp::And, &[&pg[1][0], &pg[1][1]], &pg[1][2])
             .expect("and");
-        session.sync().expect("mid sync");
+        let mut pooled_sums = session.sync().expect("mid sync");
         let pooled_mid = session.load(&pg[0][2]).expect("mid load");
         session
             .submit(BitwiseOp::Xor, &[&pg[0][2], &pg[1][2]], &pg[2][2])
@@ -363,7 +363,7 @@ fn interleaved_submit_sync_matches_serial_reference() {
                 &p_cross_dst,
             )
             .expect("cross or");
-        let pooled_sums = session.close().expect("close");
+        pooled_sums.extend(session.close().expect("close"));
 
         assert_eq!(
             serial_mid, pooled_mid,
@@ -389,6 +389,198 @@ fn interleaved_submit_sync_matches_serial_reference() {
             assert_eq!(ss.reliability, ps.reliability);
             assert_close("summary time", ss.time_ns, ps.time_ns);
         }
+    }
+}
+
+/// Requests per round in [`sync_hands_back_each_round_once`]; one group
+/// per request, so request `j` of every round lands on channel `j`.
+const PER_ROUND: usize = 4;
+
+/// What interrupts a round of [`sync_hands_back_each_round_once`] after
+/// its first request: each is a sync point that hands nothing back.
+#[derive(Clone, Copy)]
+enum Interrupt {
+    None,
+    Straddle,
+    Load,
+    Store,
+}
+
+/// Request `j` of round `r`: rotating ops, and from round 1 on the first
+/// operand is the previous round's result on the same channel.
+fn round_request(
+    groups: &[Vec<PimBitVec>],
+    r: usize,
+    j: usize,
+) -> (BitwiseOp, Vec<&PimBitVec>, &PimBitVec) {
+    let ops = [
+        BitwiseOp::Or,
+        BitwiseOp::And,
+        BitwiseOp::Xor,
+        BitwiseOp::Not,
+    ];
+    let op = ops[(r + j) % ops.len()];
+    let g = &groups[r * PER_ROUND + j];
+    let first = if r == 0 {
+        &g[0]
+    } else {
+        &groups[(r - 1) * PER_ROUND + j][2]
+    };
+    let operands = if op == BitwiseOp::Not {
+        vec![first]
+    } else {
+        vec![first, &g[1]]
+    };
+    (op, operands, &g[2])
+}
+
+/// Each request's summary is handed back once, by the `sync()` that
+/// completes it: over rounds of single-channel requests, interrupted by
+/// a straddling request, a mid-stream load and a mid-stream store (sync
+/// points that hand nothing back), every `sync()` returns exactly its
+/// round's summaries in submission order, equal to the serial
+/// executor's; `close()` after the last sync returns nothing, and the
+/// trace and statistics still match the serial run.
+#[test]
+fn sync_hands_back_each_round_once() {
+    let interrupts = [
+        Interrupt::None,
+        Interrupt::Straddle,
+        Interrupt::Load,
+        Interrupt::Store,
+    ];
+    let rounds = interrupts.len();
+    let len = 3000u64;
+    let setup = |s: &mut PimSystem| {
+        let mut rng = SimRng::seed_from_u64(0x4A2D);
+        let mut random_store = |s: &mut PimSystem, v: &PimBitVec| {
+            let bits: Vec<bool> = (0..len).map(|_| rng.gen_bit()).collect();
+            s.store(v, &bits).expect("store");
+        };
+        let groups: Vec<Vec<PimBitVec>> = (0..rounds * PER_ROUND)
+            .map(|_| {
+                let g = s.alloc_group(3, len).expect("group");
+                random_store(s, &g[0]);
+                random_store(s, &g[1]);
+                g
+            })
+            .collect();
+        let channel = |i: usize| groups[i][0].rows()[0].channel;
+        for i in 0..groups.len() {
+            let home = channel(i % PER_ROUND);
+            assert_eq!(channel(i), home, "request j of every round is on channel j");
+            assert!(i >= PER_ROUND || (0..i).all(|k| channel(k) != home));
+        }
+        let cross_ops = s.alloc_group(2, len).expect("cross operands");
+        let cross_dst = s.alloc_group(1, len).expect("cross dst").remove(0);
+        assert_ne!(cross_ops[0].rows()[0].channel, cross_dst.rows()[0].channel);
+        random_store(s, &cross_ops[0]);
+        (groups, cross_ops, cross_dst)
+    };
+    let fresh: Vec<bool> = (0..len).map(|i| i % 5 == 0).collect();
+
+    // Serial reference: the same stream, one request at a time.
+    let mut serial = sys(faulty_mem());
+    let (sg, s_cross_ops, s_cross_dst) = setup(&mut serial);
+    let mut serial_rounds = Vec::new();
+    let mut serial_mid = Vec::new();
+    for (r, &interrupt) in interrupts.iter().enumerate() {
+        let mut round = Vec::new();
+        for j in 0..PER_ROUND {
+            let (op, operands, dst) = round_request(&sg, r, j);
+            round.push(serial.bitwise(op, &operands, dst).expect("serial op"));
+            if j > 0 {
+                continue;
+            }
+            match interrupt {
+                Interrupt::None => {}
+                Interrupt::Straddle => round.push(
+                    serial
+                        .bitwise(
+                            BitwiseOp::Or,
+                            &[&s_cross_ops[0], &s_cross_ops[1]],
+                            &s_cross_dst,
+                        )
+                        .expect("serial straddle"),
+                ),
+                Interrupt::Load => serial_mid = serial.load(dst),
+                Interrupt::Store => serial
+                    .store(&sg[r * PER_ROUND + 1][1], &fresh)
+                    .expect("serial store"),
+            }
+        }
+        serial_rounds.push(round);
+    }
+
+    for workers in [1usize, 2, 4] {
+        let mut pooled = sys(faulty_mem());
+        let (pg, p_cross_ops, p_cross_dst) = setup(&mut pooled);
+        let mut pooled_mid = Vec::new();
+        let mut session = pooled.open_session_with_workers(workers);
+        let mut next_pos = 0usize;
+        for (r, &interrupt) in interrupts.iter().enumerate() {
+            for j in 0..PER_ROUND {
+                let (op, operands, dst) = round_request(&pg, r, j);
+                let pos = session.submit(op, &operands, dst).expect("submit");
+                assert_eq!(pos, next_pos, "positions count the whole session");
+                next_pos += 1;
+                if j > 0 {
+                    continue;
+                }
+                match interrupt {
+                    Interrupt::None => {}
+                    Interrupt::Straddle => {
+                        let pos = session
+                            .submit(
+                                BitwiseOp::Or,
+                                &[&p_cross_ops[0], &p_cross_ops[1]],
+                                &p_cross_dst,
+                            )
+                            .expect("straddle");
+                        assert_eq!(pos, next_pos);
+                        next_pos += 1;
+                    }
+                    Interrupt::Load => pooled_mid = session.load(dst).expect("mid load"),
+                    Interrupt::Store => session
+                        .store(&pg[r * PER_ROUND + 1][1], &fresh)
+                        .expect("mid store"),
+                }
+            }
+            let handed = session.sync().expect("round sync");
+            let expected = &serial_rounds[r];
+            assert_eq!(
+                handed.len(),
+                expected.len(),
+                "round {r} hands back exactly its own requests (workers={workers})"
+            );
+            for (k, (ss, ps)) in expected.iter().zip(&handed).enumerate() {
+                let at = format!("round {r} request {k} (workers={workers})");
+                assert_eq!(ss.activations, ps.activations, "{at} activations");
+                assert_eq!(ss.segments, ps.segments, "{at} segments");
+                assert_eq!(ss.class, ps.class, "{at} class");
+                assert_eq!(ss.reliability, ps.reliability, "{at} fault ledger");
+                assert_close(&at, ss.time_ns, ps.time_ns);
+            }
+        }
+        assert!(
+            session.close().expect("close").is_empty(),
+            "close after the last sync has nothing left to hand back"
+        );
+
+        assert_eq!(
+            serial_mid, pooled_mid,
+            "mid-stream load (workers={workers})"
+        );
+        for (s, p) in sg.iter().zip(&pg) {
+            assert_eq!(serial.load(&s[2]), pooled.load(&p[2]), "workers={workers}");
+        }
+        assert_eq!(serial.load(&s_cross_dst), pooled.load(&p_cross_dst));
+        assert_stats_match(
+            &format!("workers={workers}"),
+            serial.stats(),
+            pooled.stats(),
+        );
+        assert_eq!(serial.trace(), pooled.trace(), "workers={workers}");
     }
 }
 
