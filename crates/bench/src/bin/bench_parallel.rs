@@ -5,8 +5,9 @@
 //! * **serial** — `execute_batch_serial`, one request at a time on the
 //!   unified memory (the correctness reference);
 //! * **pooled** — one persistent `ExecSession`: workers spawned once,
-//!   shards owned for the whole stream, batches submitted back-to-back
-//!   with no inter-batch barrier, one dirty-delta sync at close.
+//!   shards cloned once and claimed channel by channel by the workers
+//!   and, at close, by the caller; batches submitted back-to-back with
+//!   no inter-batch barrier, one dirty-delta sync at close.
 //!
 //! The headline `wall_speedup` is **serial / pooled**. It is bounded by
 //! the host's core count: on a single-core host it cannot exceed 1 for
@@ -289,8 +290,9 @@ fn main() {
         "parallel",
         "wall_speedup is serial_wall_ms / pooled_wall_ms: the persistent \
          session at the given worker count vs execute_batch_serial on the \
-         same stream, each the best of nine. Bounded by host.cores: with \
-         one core the worker threads have no spare core to run on. \
+         same stream, each the best of nine. Bounded by host.cores: the \
+         session runs on its worker threads and, at close, the caller, and \
+         with one core the caller runs every job itself. \
          modeled_speedup is the scheduler's modeled serial stream over the \
          channel- and bank-parallel makespan.",
         Vec::new(),

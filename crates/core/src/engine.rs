@@ -137,7 +137,7 @@ impl PinatuboEngine {
         &self.stats
     }
 
-    /// Clones a per-channel engine shard for a session worker (see
+    /// Clones a per-channel engine shard for an execution session (see
     /// [`MainMemory::clone_channel`]): the engine configuration is shared,
     /// this engine keeps a stale mirror of the channel and is brought up
     /// to date with [`pinatubo_mem::ChannelDelta`]s, and the shard's

@@ -86,25 +86,16 @@ pub enum RuntimeError {
     },
     /// A zero-length allocation was requested.
     EmptyAllocation,
-    /// A shard worker in a persistent [`pool::ExecSession`] panicked while
-    /// executing a request. The panicking channel's un-synced work is lost
-    /// (the parent keeps its last synced state); other channels' committed
+    /// A request panicked while a persistent [`pool::ExecSession`]
+    /// executed it, on a worker thread or on the caller's thread at a
+    /// sync point. The panicking channel's un-synced work is lost (the
+    /// parent keeps its last synced state); other channels' committed
     /// state survives.
     WorkerPanicked {
-        /// The channel whose shard worker panicked.
+        /// The channel whose shard panicked.
         channel: u32,
         /// The panic payload, if it was a string.
         message: String,
-    },
-    /// A `Run` job reached a pool worker that owns no shard for the
-    /// job's channel. The session's channel→worker routing and the
-    /// worker's shard set are built from the same geometry, so this is
-    /// a routing bug, not a user mistake — but it must surface as a
-    /// result at the job's position rather than silently desync the
-    /// submission-ordered collection.
-    NoShardForChannel {
-        /// The channel no shard claimed.
-        channel: u32,
     },
     /// A request was queued behind a failing request on the same
     /// channel: the shard halted before reaching it, so it was never
@@ -149,13 +140,7 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::EmptyAllocation => write!(f, "cannot allocate a zero-length bit-vector"),
             RuntimeError::WorkerPanicked { channel, message } => {
-                write!(f, "shard worker for channel {channel} panicked: {message}")
-            }
-            RuntimeError::NoShardForChannel { channel } => {
-                write!(
-                    f,
-                    "no worker shard owns channel {channel}; the job was not executed"
-                )
+                write!(f, "a request on channel {channel} panicked: {message}")
             }
             RuntimeError::ChannelHalted { channel } => write!(
                 f,

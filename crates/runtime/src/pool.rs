@@ -1,25 +1,35 @@
 //! Sharded execution sessions — the runtime's one channel-parallel
 //! executor.
 //!
-//! An [`ExecSession`] streams requests into a worker pool;
+//! An [`ExecSession`] streams requests into a pool of executors;
 //! [`PimSystem::execute_batch`] is a one-shot session over one batch, and
 //! a long-lived session amortizes the pool's setup over a whole stream.
-//! Opening a session spawns the pool; each worker *owns* its channels'
-//! engine shards (cloned with `clone_channel`) for the session's lifetime.
-//! Submitted requests are dispatched to their home channel's queue
-//! immediately — there is no inter-batch barrier — and the parent system
-//! keeps only a stale mirror of each channel, reconciled on demand from
-//! the shards' dirty-state deltas (O(touched state), not O(memory)).
+//! Opening a session clones every channel's engine shard (with
+//! `clone_channel`) into the pool, each shard behind its own lock, and
+//! spawns the worker threads. No shard belongs to a thread: submitted
+//! requests are published to one claim board, a FIFO of jobs per
+//! channel, and an *executor* claims a whole channel, runs every job
+//! queued there in submission order under that channel's shard lock, and
+//! releases it. Every worker thread is an executor, and so is the caller
+//! at every sync point, so a session executes on up to `workers + 1`
+//! threads. There is no inter-batch barrier, and the parent system keeps
+//! only a stale mirror of each channel, reconciled on demand from the
+//! shards' dirty-state deltas (O(touched state), not O(memory)).
 //!
 //! Synchronization points are explicit and rare:
 //!
 //! * a channel-straddling request (its rows span channels) must see the
 //!   unified memory, so it drains every queue, runs on the parent, and
-//!   pushes the rows it touched back out to the owning shards;
+//!   pushes the rows it touched back into the owning shards;
 //! * [`ExecSession::sync`], [`ExecSession::close`] and
 //!   [`ExecSession::load`] drain the queues and fold the deltas into the
 //!   parent; [`ExecSession::store`] also writes through the parent and
-//!   pushes the write back out.
+//!   pushes the write back into the shards.
+//!
+//! To drain, the caller publishes what it has buffered, runs every
+//! channel no worker holds, and waits for the workers to release the
+//! rest; it then folds every shard into the parent in ascending channel
+//! order on its own thread, so no message or reply crosses threads.
 //!
 //! Each request's cost summary is handed back once, by the sync point
 //! that completes it: [`ExecSession::sync`] returns the summaries of
@@ -31,25 +41,27 @@
 //! the current round only, however many requests it has run.
 //!
 //! Every request takes one path: [`ExecSession::submit_batch`] shares the
-//! batch with the workers as one slab, and [`ExecSession::submit`] is a
+//! batch with the executors as one slab, and [`ExecSession::submit`] is a
 //! one-request slab (planning one request is the identity). The operand
 //! lengths are checked at submit time, so a malformed request fails
-//! there rather than deep in a worker.
+//! there rather than deep in an executor.
 //!
 //! Results are bit-, stats- and fault-ledger-identical to
 //! [`PimSystem::execute_batch_serial`] on the same request stream,
-//! independent of the pool size: per-channel FIFO order preserves every
-//! data dependence a single-channel stream can have (all its rows live
-//! on that channel), cross-channel dependences only arise through
-//! straddling requests, which are full barriers, and each request is
-//! primed with exactly the sense-amp mode register the serial stream
-//! would have held (see `scheduler::mode_for`).
+//! independent of the pool size and of which executor runs which
+//! channel: per-channel FIFO order preserves every data dependence a
+//! single-channel stream can have (all its rows live on that channel),
+//! cross-channel dependences only arise through straddling requests,
+//! which are full barriers, and each request is primed with exactly the
+//! sense-amp mode register the serial stream would have held (see
+//! `scheduler::mode_for`).
 //!
-//! A worker panic is contained: the panicking channel is poisoned and
-//! its un-synced work discarded (the parent keeps that channel's last
-//! synced state), every other channel's committed state survives, and
-//! the session reports [`RuntimeError::WorkerPanicked`] at the next
-//! sync point.
+//! A panic in a request is contained on whichever executor ran it, a
+//! worker thread or the caller: the panicking channel is poisoned and its
+//! un-synced work discarded (the parent keeps that channel's last synced
+//! state), every other channel's committed state survives, and the
+//! session reports [`RuntimeError::WorkerPanicked`] at the next sync
+//! point.
 
 use crate::bitvec::PimBitVec;
 use crate::scheduler::{mode_for, BatchRequest};
@@ -57,16 +69,13 @@ use crate::system::{bitwise_on_engine, check_lengths, OpSummary, PimSystem};
 use crate::RuntimeError;
 use pinatubo_core::{BitwiseOp, BulkOp, EngineStats, PinatuboEngine};
 use pinatubo_mem::{ChannelDelta, MemStats, PimConfig, RowAddr};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// One dispatched request, self-contained so it can cross the thread
-/// boundary: the request travels as an index into a shared slab, so
-/// dispatch clones no row handles — each job is an index plus an `Arc`
-/// bump.
+/// One dispatched request, self-contained so any executor can run it:
+/// the request travels as an index into a shared slab, so dispatch
+/// clones no row handles — each job is an index plus an `Arc` bump.
 struct Job {
     pos: usize,
     channel: u32,
@@ -79,21 +88,6 @@ struct Job {
 /// A request's submission position paired with its outcome.
 type JobResult = (usize, Result<(OpSummary, BulkOp), RuntimeError>);
 
-enum WorkerMsg {
-    /// A slab of jobs in submission order. Batched so a stream of small
-    /// requests costs one channel send (and one receiver wake-up) per
-    /// slab instead of per request — per-channel FIFO order is
-    /// preserved because slabs are built and flushed in submission
-    /// order (see [`ExecSession::flush_thread`]).
-    Run(Vec<Job>),
-    /// State written by the parent (straddling requests, stores) pushed
-    /// back into the owning shard. Carries no statistics: the parent
-    /// already accounted them.
-    Apply(Box<ChannelDelta>),
-    Sync(mpsc::Sender<SyncReply>),
-    Shutdown,
-}
-
 /// Everything one channel hands back at a sync point.
 struct ChannelSync {
     channel: u32,
@@ -101,7 +95,8 @@ struct ChannelSync {
     mem_stats: MemStats,
     engine_stats: EngineStats,
     results: Vec<JobResult>,
-    /// Set when the shard worker panicked: `(position, panic message)`.
+    /// Set when a request on the shard panicked: `(position, panic
+    /// message)`.
     panicked: Option<(usize, String)>,
     /// Post-delta digest of the shard's channel state, computed only in
     /// debug builds so the parent can assert the dirty-delta sync left
@@ -109,16 +104,8 @@ struct ChannelSync {
     digest: Option<u64>,
 }
 
-struct SyncReply {
-    channels: Vec<ChannelSync>,
-    /// Results for `Run` jobs no shard on this worker could own
-    /// ([`RuntimeError::NoShardForChannel`]): shipped separately so the
-    /// position still resolves even though no channel claims it.
-    orphans: Vec<JobResult>,
-}
-
-/// One channel's engine shard, owned by a worker thread for the whole
-/// session.
+/// One channel's engine shard, kept for the whole session and run by
+/// whichever executor claims the channel.
 struct Shard {
     channel: u32,
     engine: PinatuboEngine,
@@ -139,57 +126,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn worker_main(mut shards: Vec<Shard>, rx: &mpsc::Receiver<WorkerMsg>) {
-    let mut orphans: Vec<JobResult> = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Run(jobs) => {
-                for job in jobs {
-                    run_one(&mut shards, &mut orphans, job);
-                }
-            }
-            WorkerMsg::Apply(delta) => {
-                let delta = *delta;
-                if let Some(shard) = shards
-                    .iter_mut()
-                    .find(|s| s.channel == delta.channel() && s.poisoned.is_none())
-                {
-                    shard.engine.memory_mut().apply_delta(delta);
-                }
-            }
-            WorkerMsg::Sync(reply_tx) => {
-                let channels = shards.iter_mut().map(sync_one_shard).collect();
-                // A dropped receiver just means the session went away
-                // mid-sync; nothing useful to do with the state then.
-                let _ = reply_tx.send(SyncReply {
-                    channels,
-                    orphans: std::mem::take(&mut orphans),
-                });
-            }
-            WorkerMsg::Shutdown => break,
-        }
-    }
-}
-
-fn run_one(shards: &mut [Shard], orphans: &mut Vec<JobResult>, job: Job) {
-    let Some(shard) = shards.iter_mut().find(|s| s.channel == job.channel) else {
-        // Routing bug: the session queued a job on a worker that owns
-        // no shard for its channel. Dropping it would leave the job's
-        // position unresolved forever, so it must come back as a hard
-        // error.
-        debug_assert!(
-            false,
-            "Run job for channel {} reached a worker owning no shard for it",
-            job.channel
-        );
-        orphans.push((
-            job.pos,
-            Err(RuntimeError::NoShardForChannel {
-                channel: job.channel,
-            }),
-        ));
-        return;
-    };
+fn run_one(shard: &mut Shard, job: Job) {
     if shard.poisoned.is_some() {
         // The panic is reported at sync; queued work behind it is part
         // of the poisoned channel's lost state.
@@ -258,23 +195,120 @@ fn sync_one_shard(shard: &mut Shard) -> ChannelSync {
     }
 }
 
-struct WorkerHandle {
-    tx: mpsc::Sender<WorkerMsg>,
-    join: Option<JoinHandle<()>>,
+/// The claim board: the jobs published for each channel, in submission
+/// order, and whether an executor holds the channel. Jobs published for
+/// a channel while it runs wait for its release, so every channel runs
+/// its jobs in submission order whichever executors claim them.
+struct Board {
+    queues: Vec<Vec<Job>>,
+    running: Vec<bool>,
+    shutdown: bool,
 }
 
-/// Jobs buffered per worker before a flush forces a channel send. Big
-/// enough to amortize the send/wake-up cost over a stream of small
-/// requests, small enough that workers start executing long before a
-/// large batch finishes submitting.
+impl Board {
+    /// Claims the first channel with queued jobs and no executor, taking
+    /// every job queued there.
+    fn claim(&mut self) -> Option<(usize, Vec<Job>)> {
+        let channel =
+            (0..self.queues.len()).find(|&c| !self.running[c] && !self.queues[c].is_empty())?;
+        self.running[channel] = true;
+        Some((channel, std::mem::take(&mut self.queues[channel])))
+    }
+}
+
+/// What a session shares with its worker threads.
+struct Pool {
+    /// One engine shard per channel, indexed by channel.
+    shards: Vec<Mutex<Shard>>,
+    board: Mutex<Board>,
+    /// Idle workers park here; signalled when jobs are published before
+    /// a sync point, and at shutdown.
+    work: Condvar,
+    /// Signalled whenever an executor releases a channel; the caller
+    /// waits here at a sync point for the channels workers still hold.
+    released: Condvar,
+}
+
+/// Locks `mutex`, recovering it from poison. Every update of the board
+/// leaves it valid at each step, and a request's panic is caught inside
+/// [`run_one`] while its shard stays locked; only a bug in the fold can
+/// poison a shard, and that panic reaches the caller, whose session can
+/// then still shut down.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Pool {
+    /// Moves `jobs` onto the board in submission order and returns the
+    /// board still locked.
+    fn publish(&self, jobs: &mut Vec<Job>) -> MutexGuard<'_, Board> {
+        let mut board = lock(&self.board);
+        for job in jobs.drain(..) {
+            board.queues[job.channel as usize].push(job);
+        }
+        board
+    }
+
+    /// Starting from the locked `board`, claims channels and runs their
+    /// jobs until nothing is claimable and `done` holds, waiting on
+    /// `idle` while neither is the case (after [`SPIN_YIELDS`] yields
+    /// if it has just run a channel). The board lock is never held
+    /// while a shard runs, and a shard's lock is released before the
+    /// board lock is taken again.
+    fn execute<'p>(
+        &'p self,
+        mut board: MutexGuard<'p, Board>,
+        idle: &Condvar,
+        done: impl Fn(&Board) -> bool,
+    ) {
+        let mut yields = SPIN_YIELDS;
+        loop {
+            if let Some((channel, jobs)) = board.claim() {
+                drop(board);
+                let mut shard = lock(&self.shards[channel]);
+                for job in jobs {
+                    run_one(&mut shard, job);
+                }
+                drop(shard);
+                board = lock(&self.board);
+                board.running[channel] = false;
+                self.released.notify_one();
+                yields = 0;
+            } else if done(&board) {
+                return;
+            } else if yields < SPIN_YIELDS {
+                yields += 1;
+                drop(board);
+                std::thread::yield_now();
+                board = lock(&self.board);
+            } else {
+                board = idle.wait(board).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+}
+
+/// Times an executor that has just released a channel yields and looks at
+/// the board again before it parks. While the caller is submitting it
+/// publishes again within a few tens of µs, so a worker that stays
+/// runnable that long takes the next channel without a wake-up. Workers
+/// that parked at once were woken several times a round, and on a 2-core
+/// host about one serve_faulty run in six then ran at the one-thread
+/// rate, as if worker and caller shared one core; with these yields
+/// about one run in twenty did.
+const SPIN_YIELDS: u32 = 100;
+
+/// Jobs buffered before they are published to the board and the workers
+/// woken. Big enough to amortize the lock and wake-up cost over a stream
+/// of small requests, small enough that workers start executing long
+/// before a large batch finishes submitting.
 const FLUSH_JOBS: usize = 32;
 
-/// The per-worker flush threshold for this host. With more than one
-/// core, workers overlap execution with submission, so slabs are cut at
-/// [`FLUSH_JOBS`]. On a single core that overlap buys nothing — the
-/// submitter and workers just trade context switches — so jobs buffer
-/// until a sync point and each worker then runs its whole queue in one
-/// uninterrupted stretch.
+/// The publish threshold for this host. With more than one core,
+/// workers overlap execution with submission, so jobs are published
+/// every [`FLUSH_JOBS`]. On a single core that overlap buys nothing —
+/// the submitter and workers just trade context switches — so jobs
+/// buffer until a sync point, where the caller runs them all itself.
 fn flush_threshold() -> usize {
     match std::thread::available_parallelism() {
         Ok(n) if n.get() > 1 => FLUSH_JOBS,
@@ -282,19 +316,18 @@ fn flush_threshold() -> usize {
     }
 }
 
-/// A streaming execution session over a persistent worker pool. Create
-/// one with [`PimSystem::open_session`]; see the module docs for the
-/// execution model.
+/// A streaming execution session over a persistent pool of executors.
+/// Create one with [`PimSystem::open_session`]; see the module docs for
+/// the execution model.
 pub struct ExecSession<'a> {
     system: &'a mut PimSystem,
-    threads: Vec<WorkerHandle>,
-    thread_of: HashMap<u32, usize>,
-    /// Per-worker submission-ordered job buffers, flushed as one
-    /// [`WorkerMsg::Run`] slab at [`flush_threshold`] jobs and at every
-    /// sync point (a caller sees memory only at sync points and
-    /// summaries only at `sync`/`close`, so buffering never changes what
-    /// it can see).
-    pending: Vec<Vec<Job>>,
+    pool: Arc<Pool>,
+    threads: Vec<JoinHandle<()>>,
+    /// Submission-ordered jobs not yet on the board, published at
+    /// [`flush_threshold`] jobs and at every sync point (a caller sees
+    /// memory only at sync points and summaries only at `sync`/`close`,
+    /// so buffering never changes what it can see).
+    pending: Vec<Job>,
     /// Cached [`flush_threshold`] for this session.
     flush_jobs: usize,
     /// Result slots of the requests not yet handed back, submission
@@ -314,7 +347,9 @@ pub struct ExecSession<'a> {
 }
 
 impl PimSystem {
-    /// Opens a persistent execution session with one worker per channel.
+    /// Opens a persistent execution session at the default worker
+    /// count, the channel count (see
+    /// [`PimSystem::open_session_with_workers`]).
     #[must_use]
     pub fn open_session(&mut self) -> ExecSession<'_> {
         let channels = self.engine().memory().geometry().channels as usize;
@@ -322,45 +357,53 @@ impl PimSystem {
     }
 
     /// Opens a persistent execution session with an explicit worker
-    /// count. Channels are distributed over the workers; results and
-    /// statistics are identical for every worker count — only wall-clock
-    /// time differs.
+    /// count. The caller runs shards at every sync point, so the session
+    /// executes on up to `workers + 1` threads: it spawns `workers`
+    /// worker threads (at least one), but never more than one fewer than
+    /// the channel count, since further threads would only idle. Results
+    /// and statistics are identical for every worker count — only
+    /// wall-clock time differs.
     #[must_use]
     pub fn open_session_with_workers(&mut self, workers: usize) -> ExecSession<'_> {
-        let channels: Vec<u32> = (0..self.engine().memory().geometry().channels).collect();
-        let workers = workers.clamp(1, channels.len().max(1));
+        let channels = self.engine().memory().geometry().channels;
         let entry_mode = self.engine().memory().pim_config();
         let row_bits = self.row_bits();
-        let per_worker = channels.len().div_ceil(workers);
-        let mut threads = Vec::new();
-        let mut thread_of = HashMap::new();
-        for chunk in channels.chunks(per_worker) {
-            let shards: Vec<Shard> = chunk
-                .iter()
-                .map(|&channel| Shard {
+        let shards = (0..channels)
+            .map(|channel| {
+                Mutex::new(Shard {
                     channel,
                     engine: self.engine_mut().clone_channel(channel),
                     results: Vec::new(),
                     halted: false,
                     poisoned: None,
                 })
-                .collect();
-            for &channel in chunk {
-                thread_of.insert(channel, threads.len());
-            }
-            let (tx, rx) = mpsc::channel();
-            let join = std::thread::spawn(move || worker_main(shards, &rx));
-            threads.push(WorkerHandle {
-                tx,
-                join: Some(join),
-            });
-        }
-        let pending = (0..threads.len()).map(|_| Vec::new()).collect();
+            })
+            .collect();
+        let pool = Arc::new(Pool {
+            shards,
+            board: Mutex::new(Board {
+                queues: (0..channels).map(|_| Vec::new()).collect(),
+                running: vec![false; channels as usize],
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+            released: Condvar::new(),
+        });
+        // The caller is the extra executor: more threads would only idle.
+        let spawned = workers.max(1).min((channels as usize).saturating_sub(1));
+        let threads = (0..spawned)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    pool.execute(lock(&pool.board), &pool.work, |board| board.shutdown);
+                })
+            })
+            .collect();
         ExecSession {
             system: self,
+            pool,
             threads,
-            thread_of,
-            pending,
+            pending: Vec::new(),
             flush_jobs: flush_threshold(),
             slots: Vec::new(),
             handed_back: 0,
@@ -432,10 +475,10 @@ impl ExecSession<'_> {
                     index,
                     row_bits: self.row_bits,
                 };
-                let thread = self.thread_of[&channel];
-                self.pending[thread].push(job);
-                if self.pending[thread].len() >= self.flush_jobs {
-                    self.flush_thread(thread);
+                self.pending.push(job);
+                if self.pending.len() >= self.flush_jobs {
+                    drop(self.pool.publish(&mut self.pending));
+                    self.pool.work.notify_all();
                 }
                 self.slots.push(None);
             }
@@ -480,7 +523,7 @@ impl ExecSession<'_> {
     }
 
     /// [`ExecSession::submit_batch`] for a batch the caller already
-    /// holds behind an `Arc`: the slab is shared with the workers as-is,
+    /// holds behind an `Arc`: the slab is shared with the executors as-is,
     /// so dispatch clones no row handles — each queued job is an index
     /// into the slab plus an `Arc` bump. This is the cheapest way to
     /// replay the same batch across rounds.
@@ -510,7 +553,7 @@ impl ExecSession<'_> {
     /// # Errors
     ///
     /// The earliest-submitted failed request's error, if any request has
-    /// failed so far (including worker panics, reported as
+    /// failed so far (including panics, reported as
     /// [`RuntimeError::WorkerPanicked`]). Nothing is handed back then:
     /// the completed requests' results stay for [`ExecSession::close`],
     /// and a failed session accepts no further submissions.
@@ -623,45 +666,19 @@ impl ExecSession<'_> {
         }
     }
 
-    /// Sends a worker's buffered jobs as one slab. A send can only fail
-    /// if the worker died; the panic is then reported at the next sync.
-    fn flush_thread(&mut self, thread: usize) {
-        if self.pending[thread].is_empty() {
-            return;
-        }
-        let jobs = std::mem::take(&mut self.pending[thread]);
-        let _ = self.threads[thread].tx.send(WorkerMsg::Run(jobs));
-    }
-
-    /// Drains all queues and reconciles the parent with every shard.
+    /// Drains all queues and reconciles the parent with every shard. The
+    /// caller publishes the rest of its buffer without waking anyone,
+    /// runs every channel no worker holds, waits for the workers to
+    /// release the others, and then folds every shard on its own thread.
     fn sync_internal(&mut self) {
-        for thread in 0..self.threads.len() {
-            self.flush_thread(thread);
-        }
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for handle in &self.threads {
-            if handle.tx.send(WorkerMsg::Sync(tx.clone())).is_ok() {
-                expected += 1;
-            }
-        }
-        drop(tx);
-        let mut channels: Vec<ChannelSync> = Vec::new();
-        let mut orphans: Vec<JobResult> = Vec::new();
-        for _ in 0..expected {
-            let Ok(reply) = rx.recv() else { break };
-            channels.extend(reply.channels);
-            orphans.extend(reply.orphans);
-        }
-        for (pos, result) in orphans {
-            if let Err(e) = result {
-                self.note_err(pos, e);
-            }
-        }
+        let board = self.pool.publish(&mut self.pending);
+        self.pool.execute(board, &self.pool.released, |board| {
+            !board.running.contains(&true)
+        });
         // Fixed merge order — ascending channel — so the folded
         // statistics are identical for every worker count.
-        channels.sort_by_key(|c| c.channel);
-        for sync in channels {
+        for channel in 0..self.pool.shards.len() {
+            let sync = sync_one_shard(&mut lock(&self.pool.shards[channel]));
             if let Some((pos, message)) = sync.panicked {
                 self.note_err(
                     pos,
@@ -703,36 +720,36 @@ impl ExecSession<'_> {
         self.system.engine().memory().assert_ledger_consistent();
     }
 
-    /// Ships the parent's dirty writes (straddling requests, stores)
-    /// back to the owning shards as state-only deltas.
+    /// Applies the parent's dirty writes (straddling requests, stores)
+    /// to the owning shards as state-only deltas. Runs after a sync
+    /// point, when no executor holds a shard.
     fn push_back_parent_writes(&mut self) {
         let deltas = self.system.engine_mut().memory_mut().take_dirty_state();
         for delta in deltas {
-            if let Some(&thread) = self.thread_of.get(&delta.channel()) {
-                let _ = self.threads[thread]
-                    .tx
-                    .send(WorkerMsg::Apply(Box::new(delta)));
+            if let Some(shard) = self.pool.shards.get(delta.channel() as usize) {
+                let mut shard = lock(shard);
+                if shard.poisoned.is_none() {
+                    shard.engine.memory_mut().apply_delta(delta);
+                }
             }
         }
     }
 
     fn shutdown(&mut self) {
-        for handle in &mut self.threads {
-            let _ = handle.tx.send(WorkerMsg::Shutdown);
-        }
-        for handle in &mut self.threads {
-            if let Some(join) = handle.join.take() {
-                let _ = join.join();
-            }
+        lock(&self.pool.board).shutdown = true;
+        self.pool.work.notify_all();
+        for join in self.threads.drain(..) {
+            let _ = join.join();
         }
     }
 }
 
 impl Drop for ExecSession<'_> {
     fn drop(&mut self) {
-        // Best-effort sync on implicit drop — but never on an
-        // unwinding path, where a secondary panic would abort.
-        if !std::thread::panicking() && self.threads.iter().any(|h| h.join.is_some()) {
+        // Best-effort sync on implicit drop of an open session — but
+        // never on an unwinding path, where a secondary panic would
+        // abort.
+        if !std::thread::panicking() && !lock(&self.pool.board).shutdown {
             self.sync_internal();
         }
         self.shutdown();

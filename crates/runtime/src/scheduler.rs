@@ -48,9 +48,9 @@
 //!
 //! Execution is *actually* parallel, not just modeled:
 //! [`PimSystem::execute_batch`] is a one-shot [`crate::ExecSession`],
-//! which runs each channel's scheduled queue on a worker-owned channel
-//! shard and folds the shards' dirty-state deltas and statistics back
-//! deterministically. Per-channel fault-injection streams and explicit
+//! which runs each channel's scheduled queue on that channel's shard,
+//! on whichever of its threads claims the channel, and folds the
+//! shards' dirty-state deltas and statistics back deterministically. Per-channel fault-injection streams and explicit
 //! mode-register priming keep the results bit- and stats-identical to
 //! serial execution of the same order (on the shipped presets, whose
 //! command streams never stall), independent of the worker count.
@@ -646,9 +646,12 @@ impl PimSystem {
     /// Executes a batch of requests through the driver scheduler as a
     /// one-shot execution session ([`PimSystem::open_session`] →
     /// [`crate::ExecSession::submit_batch`] → close): single-channel
-    /// requests run on worker-owned channel shards, channel-straddling
-    /// ones on the unified memory. The default worker count is the
-    /// channel count.
+    /// requests run on the session's channel shards, claimed by its
+    /// worker threads and, at close, by the calling thread;
+    /// channel-straddling ones run on the unified memory. The default
+    /// worker count is the channel count, which spawns one worker thread
+    /// fewer than there are channels (see
+    /// [`PimSystem::open_session_with_workers`]).
     ///
     /// Results are identical to executing the batch in submission order
     /// (reordering respects data dependences), and — on the shipped
@@ -692,9 +695,11 @@ impl PimSystem {
         Ok(self.build_report(requests, per_op))
     }
 
-    /// [`PimSystem::execute_batch`] with an explicit worker-thread count.
-    /// Channel queues are fixed by the schedule, so results and merged
-    /// statistics do not depend on `workers` — only wall-clock time does.
+    /// [`PimSystem::execute_batch`] with an explicit worker count; the
+    /// batch executes on up to `workers + 1` threads, the caller
+    /// included. Channel queues are fixed by the schedule, so results
+    /// and merged statistics do not depend on `workers` — only
+    /// wall-clock time does.
     ///
     /// # Errors
     ///

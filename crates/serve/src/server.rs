@@ -43,7 +43,11 @@ pub struct TenantConfig {
 /// identically regardless of worker count or host speed.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Session worker threads; `0` means one per channel.
+    /// Session worker count (see
+    /// [`PimSystem::open_session_with_workers`]); `0` means the channel
+    /// count. The caller also runs shards at every sync point, so the
+    /// session executes on up to `workers + 1` threads; it never spawns
+    /// more than one worker fewer than the channel count.
     pub workers: usize,
     /// Admission bound: maximum admitted-but-uncompleted requests per
     /// channel. A submission that would push any channel past this is

@@ -739,6 +739,297 @@ fn empty_session_and_implicit_drop_are_safe() {
     assert!(s.stats().reliability.is_consistent());
 }
 
+/// Vectors per channel in [`layout_setup`].
+const LAYOUT_VECS: usize = 6;
+
+/// The vectors of [`executor_layouts_match_serial`]: one group of
+/// [`LAYOUT_VECS`] random vectors on each of the four channels, plus the
+/// operands and destination of a channel-straddling request.
+fn layout_setup(s: &mut PimSystem) -> (Vec<Vec<PimBitVec>>, BatchRequest) {
+    let len = 3000u64;
+    let mut rng = SimRng::seed_from_u64(0x1A40);
+    let mut random_store = |s: &mut PimSystem, v: &PimBitVec| {
+        let bits: Vec<bool> = (0..len).map(|_| rng.gen_bit()).collect();
+        s.store(v, &bits).expect("store");
+    };
+    let groups: Vec<Vec<PimBitVec>> = (0..4u32)
+        .map(|channel| {
+            let g = s.alloc_group(LAYOUT_VECS, len).expect("group");
+            assert_eq!(g[0].rows()[0].channel, channel, "group {channel}");
+            for v in &g {
+                random_store(s, v);
+            }
+            g
+        })
+        .collect();
+    let cross_ops = s.alloc_group(2, len).expect("cross operands");
+    let cross_dst = s.alloc_group(1, len).expect("cross dst").remove(0);
+    assert_ne!(cross_ops[0].rows()[0].channel, cross_dst.rows()[0].channel);
+    random_store(s, &cross_ops[0]);
+    let cross = BatchRequest {
+        op: BitwiseOp::Xor,
+        operands: cross_ops,
+        dst: cross_dst,
+    };
+    (groups, cross)
+}
+
+/// `count` seeded single-channel requests spread over the four channels:
+/// random ops and fan-ins, each reading and writing vectors of one
+/// channel's group, so later requests read earlier results.
+fn layout_batch(groups: &[Vec<PimBitVec>], rng: &mut SimRng, count: usize) -> Vec<BatchRequest> {
+    let ops = [
+        BitwiseOp::Or,
+        BitwiseOp::And,
+        BitwiseOp::Xor,
+        BitwiseOp::Not,
+    ];
+    (0..count)
+        .map(|_| {
+            let g = &groups[rng.gen_index(groups.len())];
+            let op = ops[rng.gen_index(ops.len())];
+            let k = if op == BitwiseOp::Not {
+                1
+            } else {
+                2 + rng.gen_index(2)
+            };
+            let d = rng.gen_index(LAYOUT_VECS);
+            BatchRequest {
+                op,
+                operands: (1..=k).map(|o| g[(d + o) % LAYOUT_VECS].clone()).collect(),
+                dst: g[d].clone(),
+            }
+        })
+        .collect()
+}
+
+/// One step of the layout stream.
+enum Step {
+    Batch(Vec<BatchRequest>),
+    Store(PimBitVec, Vec<bool>),
+    Load(PimBitVec),
+    Sync,
+}
+
+/// The layout stream: syncs after fewer and after more jobs than the
+/// session publishes at once (32 on a multi-core host), a straddling
+/// request inside a batch, and a mid-stream store and load.
+fn layout_stream(groups: &[Vec<PimBitVec>], cross: &BatchRequest) -> Vec<Step> {
+    let mut rng = SimRng::seed_from_u64(0x1A41);
+    let mut straddled = layout_batch(groups, &mut rng, 40);
+    straddled.insert(17, cross.clone());
+    let fresh: Vec<bool> = (0..3000).map(|i| i % 7 == 0).collect();
+    vec![
+        Step::Batch(layout_batch(groups, &mut rng, 20)),
+        Step::Sync,
+        Step::Batch(straddled),
+        Step::Sync,
+        Step::Store(groups[1][0].clone(), fresh),
+        Step::Batch(layout_batch(groups, &mut rng, 12)),
+        Step::Load(groups[2][3].clone()),
+        Step::Batch(layout_batch(groups, &mut rng, 48)),
+        Step::Sync,
+    ]
+}
+
+/// Which executor runs which channel changes nothing: one seeded stream
+/// of single-channel requests over four channels, interleaved with a
+/// straddling request, a store, a load and syncs, matches
+/// `execute_batch_serial` on bits, statistics, fault ledgers, the op
+/// trace, per-position errors and every handed-back summary, at every
+/// worker count (8 spawns as many threads as 3). The release run repeats
+/// the stream so that claims race.
+#[test]
+fn executor_layouts_match_serial() {
+    let mut serial = sys(faulty_mem());
+    let (sg, s_cross) = layout_setup(&mut serial);
+    let mut serial_rounds = vec![Vec::new()];
+    let mut serial_loads = Vec::new();
+    for step in layout_stream(&sg, &s_cross) {
+        match step {
+            Step::Batch(batch) => {
+                let report = serial.execute_batch_serial(&batch).expect("serial batch");
+                let round = serial_rounds.last_mut().expect("open round");
+                round.extend(report.per_op.into_iter().map(|(_, summary)| summary));
+            }
+            Step::Store(v, bits) => serial.store(&v, &bits).expect("serial store"),
+            Step::Load(v) => serial_loads.push(serial.load(&v)),
+            Step::Sync => serial_rounds.push(Vec::new()),
+        }
+    }
+    assert!(serial_rounds.pop().expect("last round").is_empty());
+    assert!(
+        serial.stats().reliability.detected_errors > 0,
+        "the fault model must fire for the ledger comparison to mean anything"
+    );
+    let serial_bits: Vec<Vec<bool>> = sg
+        .iter()
+        .flatten()
+        .chain([&s_cross.dst])
+        .map(|v| serial.load(v))
+        .collect();
+
+    let repeats = if cfg!(debug_assertions) { 1 } else { 25 };
+    for workers in [1usize, 2, 3, 8] {
+        for repeat in 0..repeats {
+            let at = format!("workers={workers} repeat={repeat}");
+            let mut pooled = sys(faulty_mem());
+            let (pg, p_cross) = layout_setup(&mut pooled);
+            let mut rounds = Vec::new();
+            let mut loads = Vec::new();
+            let mut session = pooled.open_session_with_workers(workers);
+            for step in layout_stream(&pg, &p_cross) {
+                match step {
+                    Step::Batch(batch) => drop(session.submit_batch(&batch).expect("submit")),
+                    Step::Store(v, bits) => session.store(&v, &bits).expect("store"),
+                    Step::Load(v) => loads.push(session.load(&v).expect("load")),
+                    Step::Sync => rounds.push(session.sync().expect("sync")),
+                }
+            }
+            assert!(session.position_errors().is_empty(), "{at}");
+            assert!(session.close().expect("close").is_empty(), "{at}");
+
+            assert_eq!(serial_loads, loads, "{at}: mid-stream load");
+            let bits: Vec<Vec<bool>> = pg
+                .iter()
+                .flatten()
+                .chain([&p_cross.dst])
+                .map(|v| pooled.load(v))
+                .collect();
+            assert_eq!(serial_bits, bits, "{at}");
+            assert_stats_match(&at, serial.stats(), pooled.stats());
+            assert_eq!(serial.trace(), pooled.trace(), "{at}: op trace");
+            assert_eq!(serial_rounds.len(), rounds.len(), "{at}");
+            for (r, (expected, handed)) in serial_rounds.iter().zip(&rounds).enumerate() {
+                assert_eq!(expected.len(), handed.len(), "{at}: round {r}");
+                for (k, (ss, ps)) in expected.iter().zip(handed).enumerate() {
+                    let at = format!("{at} round {r} request {k}");
+                    assert_eq!(ss.activations, ps.activations, "{at} activations");
+                    assert_eq!(ss.segments, ps.segments, "{at} segments");
+                    assert_eq!(ss.class, ps.class, "{at} class");
+                    assert_eq!(ss.reliability, ps.reliability, "{at} fault ledger");
+                    assert_close(&at, ss.time_ns, ps.time_ns);
+                }
+            }
+        }
+    }
+}
+
+/// A request that panics while the caller runs it at a sync point is
+/// contained like one on a worker thread. A sync with fewer new jobs than
+/// the session publishes at once wakes no worker, so the caller runs the
+/// whole round: a panicking request on each channel in turn surfaces as
+/// `WorkerPanicked` for that channel, the other channels' round commits,
+/// and the panicking channel keeps its last synced state.
+#[test]
+fn caller_panic_is_contained_and_reported() {
+    let len = 2000u64;
+    let bits: Vec<bool> = (0..len).map(|i| i % 3 == 0).collect();
+    let inverted: Vec<bool> = bits.iter().map(|b| !b).collect();
+    for bad_channel in 0..4u32 {
+        let mut s = sys(MemConfig::pcm_default());
+        let row_bits = s.engine().memory().geometry().logical_row_bits();
+        // Per channel: g[0] random, g[1] zero, g[2] and g[3] results.
+        let groups: Vec<Vec<PimBitVec>> = (0..4u32)
+            .map(|channel| {
+                let g = s.alloc_group(4, len).expect("group");
+                assert_eq!(g[0].rows()[0].channel, channel);
+                s.store(&g[0], &bits).expect("store");
+                g
+            })
+            .collect();
+        let bad_dst = loop {
+            let v = s.alloc(row_bits + 8).expect("two-row dst");
+            if v.rows()[0].channel == bad_channel {
+                break v;
+            }
+        };
+        assert!(bad_dst.rows().len() >= 2, "dst must span two rows");
+        assert!(bad_dst.rows().iter().all(|r| r.channel == bad_channel));
+        // The malformed handle of `worker_panic_is_contained_and_reported`:
+        // one row for a two-row length, so the second segment panics.
+        let bad_operand =
+            PimBitVec::from_raw_parts(u64::MAX, bad_dst.len_bits(), vec![bad_dst.rows()[0]]);
+
+        let mut session = s.open_session_with_workers(1);
+        for g in &groups {
+            session
+                .submit(BitwiseOp::Or, &[&g[0], &g[1]], &g[2])
+                .expect("round 1");
+        }
+        assert_eq!(session.sync().expect("round 1 sync").len(), groups.len());
+        for g in &groups {
+            session
+                .submit(BitwiseOp::Not, &[&g[0]], &g[3])
+                .expect("round 2");
+        }
+        session
+            .submit(BitwiseOp::Not, &[&bad_operand], &bad_dst)
+            .expect("the malformed submit still dispatches");
+        match session.sync() {
+            Err(RuntimeError::WorkerPanicked { channel, .. }) => {
+                assert_eq!(channel, bad_channel);
+            }
+            other => panic!("expected WorkerPanicked on {bad_channel}, got {other:?}"),
+        }
+        assert!(matches!(
+            session.close(),
+            Err(RuntimeError::WorkerPanicked { .. })
+        ));
+        for (channel, g) in (0..4u32).zip(&groups) {
+            let at = format!("bad channel {bad_channel}, channel {channel}");
+            assert_eq!(s.load(&g[2]), bits, "{at}: round 1 committed");
+            let round_2 = if channel == bad_channel {
+                vec![false; bits.len()]
+            } else {
+                inverted.clone()
+            };
+            assert_eq!(s.load(&g[3]), round_2, "{at}: round 2");
+        }
+        assert!(s.stats().reliability.is_consistent());
+    }
+}
+
+/// A session over one channel spawns no worker thread, so the caller
+/// runs everything; dropped without `close()`, it must still fold its
+/// work into the parent.
+#[test]
+fn dropping_a_threadless_session_folds_its_work() {
+    let mut mem = faulty_mem();
+    mem.geometry.channels = 1;
+    let build = |s: &mut PimSystem| {
+        let mut rng = SimRng::seed_from_u64(0xD12);
+        let mut random_store = |s: &mut PimSystem, v: &PimBitVec| {
+            let bits: Vec<bool> = (0..3000).map(|_| rng.gen_bit()).collect();
+            s.store(v, &bits).expect("store");
+        };
+        let g = s.alloc_group(LAYOUT_VECS, 3000).expect("group");
+        for v in &g {
+            random_store(s, v);
+        }
+        let batch = layout_batch(std::slice::from_ref(&g), &mut rng, 40);
+        (g, batch)
+    };
+    let mut serial = sys(mem.clone());
+    let (sg, batch) = build(&mut serial);
+    serial.execute_batch_serial(&batch).expect("serial");
+
+    let mut pooled = sys(mem);
+    let (pg, batch) = build(&mut pooled);
+    {
+        let mut session = pooled.open_session_with_workers(4);
+        session.submit_batch(&batch).expect("submit");
+    } // dropped without close
+    for (s, p) in sg.iter().zip(&pg) {
+        assert_eq!(serial.load(s), pooled.load(p));
+    }
+    assert_stats_match(
+        "dropped one-channel session",
+        serial.stats(),
+        pooled.stats(),
+    );
+}
+
 /// [`faulty_mem`] with a read transient rate high enough that SEC-DED's
 /// in-place corrections actually fire during the batch's loads.
 fn faulty_mem_secded() -> MemConfig {
