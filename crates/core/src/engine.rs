@@ -1,12 +1,14 @@
 //! The bulk-bitwise-operation engine.
 //!
-//! [`PinatuboEngine::bulk_op`] decomposes an n-operand operation into
-//! hardware *primitives* — multi-row OR groups up to the sense-margin
-//! fan-in, 2-row AND senses, XOR micro-step pairs, INV reads — and executes
-//! each primitive on the cheapest path its placement allows (see
-//! [`crate::classify`]). Chaining across groups reuses the destination row
-//! as an accumulator, exactly what the in-place write-back path of the
-//! modified write drivers makes free.
+//! [`PinatuboEngine::bulk_op`] classifies an n-operand operation's whole
+//! row set (operands plus destination) once (see [`crate::classify`]) and
+//! decomposes it into hardware *primitives* on the path that placement
+//! allows: in one subarray, multi-row OR groups up to the sense-margin
+//! fan-in, 2-row AND senses and XOR micro-step pairs; anywhere else, one
+//! buffer-logic pass over every operand; and INV on any path. Chaining
+//! across groups reuses the destination row as an accumulator, exactly
+//! what the in-place write-back path of the modified write drivers makes
+//! free.
 
 use crate::classify::OpClass;
 use crate::config::PinatuboConfig;
@@ -14,6 +16,7 @@ use crate::op::BitwiseOp;
 use crate::PimError;
 use pinatubo_mem::{MainMemory, MemConfig, MemError, MemStats, PimConfig, RowAddr, RowData};
 use pinatubo_nvm::sense_amp::SenseMode;
+use pinatubo_nvm::NvmError;
 use std::ops::{Add, AddAssign};
 
 /// Engine-level counters (on top of the memory's command statistics).
@@ -70,7 +73,7 @@ impl AddAssign for EngineStats {
 /// What one bulk operation cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpOutcome {
-    /// The worst placement class any primitive of this op used.
+    /// The op's placement class: every primitive of the op runs on it.
     pub class: OpClass,
     /// Time/energy/event delta attributable to this op.
     pub stats: MemStats,
@@ -231,68 +234,70 @@ impl PinatuboEngine {
         }
 
         let before = *self.mem.stats();
-        let mut worst = OpClass::IntraSubarray;
-        let mut primitives = 0u64;
-
-        match op {
+        let primitives = match op {
             BitwiseOp::Not => {
-                let class = self.primitive_not(operands[0], dst, cols)?;
-                worst = worst.max(class);
-                primitives += 1;
+                // INV: the row leaves through the sense amp's inverting
+                // output on the class's path.
+                self.stats.count_class(class);
+                self.mem.set_pim_config(PimConfig::Inv);
+                self.transfer(class, operands[0], dst, cols, true)?;
+                1
             }
-            BitwiseOp::Or | BitwiseOp::And | BitwiseOp::Xor if class != OpClass::IntraSubarray => {
+            _ if class != OpClass::IntraSubarray => {
                 // Buffer-logic path: one streaming pass over all operands,
                 // one write-back, regardless of operand count.
                 self.stats.count_class(class);
-                let cfg = match op {
-                    BitwiseOp::Or => PimConfig::Or,
-                    BitwiseOp::And => PimConfig::And,
-                    BitwiseOp::Xor => PimConfig::Xor,
-                    BitwiseOp::Not => unreachable!("NOT is handled above"),
-                };
-                self.buffered_combine(cfg, operands, dst, cols, class)?;
-                worst = worst.max(class);
-                primitives += 1;
+                self.buffered_combine(op.pim_config(), operands, dst, cols, class)?;
+                1
             }
             BitwiseOp::Or => {
                 let fan = self.effective_fan_in();
                 if fan < 2 {
                     return Err(PimError::FanInCapTooSmall { cap: fan });
                 }
-                // First group: up to `fan` operands straight into dst.
-                let first_len = operands.len().min(fan);
-                let class = self.primitive_or(&operands[..first_len], dst, cols)?;
-                worst = worst.max(class);
-                primitives += 1;
-                // Remaining groups accumulate onto dst, which occupies one
-                // of the fan-in slots.
-                for chunk in operands[first_len..].chunks(fan - 1) {
-                    let mut group = Vec::with_capacity(chunk.len() + 1);
+                // The first group takes up to `fan` operands straight into
+                // dst; each later group accumulates onto dst, which
+                // occupies one of the fan-in slots.
+                let (first, rest) = operands.split_at(operands.len().min(fan));
+                self.sense_into(PimConfig::Or, SenseMode::or, first, dst, cols)?;
+                let mut group = Vec::with_capacity(fan);
+                for chunk in rest.chunks(fan - 1) {
+                    group.clear();
                     group.push(dst);
                     group.extend_from_slice(chunk);
-                    let class = self.primitive_or(&group, dst, cols)?;
-                    worst = worst.max(class);
-                    primitives += 1;
+                    self.sense_into(PimConfig::Or, SenseMode::or, &group, dst, cols)?;
                 }
+                1 + rest.len().div_ceil(fan - 1) as u64
             }
             BitwiseOp::And | BitwiseOp::Xor => {
-                let class = self.primitive_pair(op, operands[0], operands[1], dst, cols)?;
-                worst = worst.max(class);
-                primitives += 1;
-                for &next in &operands[2..] {
-                    let class = self.primitive_pair(op, dst, next, dst, cols)?;
-                    worst = worst.max(class);
-                    primitives += 1;
+                // k - 1 pairs, each after the first accumulating onto dst.
+                let mut a = operands[0];
+                for &b in &operands[1..] {
+                    if op == BitwiseOp::And {
+                        self.sense_into(PimConfig::And, SenseMode::and, &[a, b], dst, cols)?;
+                    } else {
+                        // Two micro-steps: operand A sampled onto Ch,
+                        // operand B into the latch; the add-on transistors
+                        // output the XOR (Fig. 6).
+                        self.stats.count_class(OpClass::IntraSubarray);
+                        self.mem.set_pim_config(PimConfig::Xor);
+                        let mut sampled = self.mem.activate_read(a, cols)?;
+                        let latched = self.mem.activate_read(b, cols)?;
+                        sampled.xor_assign(&latched);
+                        self.write_back_local(dst, sampled)?;
+                    }
+                    a = dst;
                 }
+                operands.len() as u64 - 1
             }
-        }
+        };
 
         self.stats.bulk_ops += 1;
         self.stats.primitives += primitives;
         self.stats.operand_rows += operands.len() as u64;
         let delta = subtract_stats(*self.mem.stats(), before);
         Ok(OpOutcome {
-            class: worst,
+            class,
             stats: delta,
             primitives,
         })
@@ -314,24 +319,7 @@ impl PinatuboEngine {
         let before = *self.mem.stats();
         let class = OpClass::classify(&[src, dst]);
         self.stats.count_class(class);
-        match class {
-            OpClass::IntraSubarray => {
-                let data = self.mem.activate_read(src, cols)?;
-                self.write_back_local(dst, data)?;
-            }
-            OpClass::InterSubarray => {
-                let data = self.mem.read_row_to_buffer(src, cols)?;
-                self.mem.write_row_from_buffer(dst, data)?;
-            }
-            OpClass::InterBank => {
-                let data = self.mem.read_row_to_io_buffer(src, cols)?;
-                self.mem.write_row_from_io_buffer(dst, data)?;
-            }
-            OpClass::HostFallback => {
-                let data = self.mem.read_row_over_bus(src, cols)?;
-                self.mem.write_row_over_bus(dst, data)?;
-            }
-        }
+        self.transfer(class, src, dst, cols, false)?;
         self.stats.bulk_ops += 1;
         self.stats.primitives += 1;
         self.stats.operand_rows += 1;
@@ -342,178 +330,99 @@ impl PinatuboEngine {
         })
     }
 
+    /// Reads `row` onto the path of `class`: the local sense amps, the
+    /// bank's global row buffer, the I/O buffer, or the DDR bus.
+    fn read_via(&mut self, class: OpClass, row: RowAddr, cols: u64) -> Result<RowData, MemError> {
+        match class {
+            OpClass::IntraSubarray => self.mem.activate_read(row, cols),
+            OpClass::InterSubarray => self.mem.read_row_to_buffer(row, cols),
+            OpClass::InterBank => self.mem.read_row_to_io_buffer(row, cols),
+            OpClass::HostFallback => self.mem.read_row_over_bus(row, cols),
+        }
+    }
+
+    /// Writes `data` to `dst` from wherever [`Self::read_via`] left it for
+    /// the same `class`.
+    fn write_via(&mut self, class: OpClass, dst: RowAddr, data: RowData) -> Result<(), MemError> {
+        match class {
+            OpClass::IntraSubarray => self.write_back_local(dst, data),
+            OpClass::InterSubarray => self.mem.write_row_from_buffer(dst, data),
+            OpClass::InterBank => self.mem.write_row_from_io_buffer(dst, data),
+            OpClass::HostFallback => self.mem.write_row_over_bus(dst, data),
+        }
+    }
+
+    /// Moves one row to `dst` on the path of `class`, through the sense
+    /// amp's inverting output when `invert` is set (INV, §4.2).
+    fn transfer(
+        &mut self,
+        class: OpClass,
+        src: RowAddr,
+        dst: RowAddr,
+        cols: u64,
+        invert: bool,
+    ) -> Result<(), MemError> {
+        let mut data = self.read_via(class, src, cols)?;
+        if invert {
+            data = self.mem.invert_in_sense_amp(data);
+        }
+        self.write_via(class, dst, data)
+    }
+
     /// Writes an intra-subarray result back: through the modified local
     /// write drivers when the configuration has the Fig. 8a path, or
     /// exported over GDL + bus and written conventionally when it does
     /// not.
-    fn write_back_local(&mut self, dst: RowAddr, data: RowData) -> Result<(), PimError> {
+    fn write_back_local(&mut self, dst: RowAddr, data: RowData) -> Result<(), MemError> {
         if self.config.in_place_write_back {
-            self.mem.write_row_local(dst, data)?;
+            self.mem.write_row_local(dst, data)
         } else {
             self.mem.charge_result_export(data.len_bits());
-            self.mem.write_row_over_bus(dst, data)?;
+            self.mem.write_row_over_bus(dst, data)
         }
-        Ok(())
     }
 
-    /// The last rung of the recovery ladder: when the protected multi-row
-    /// sense stays unstable even after re-calibration retries, recompute
-    /// the primitive the processor-centric way — protection-checked
-    /// single-row reads into the row buffer, a digital combine, and a
-    /// conventional write-back. Slower, but immune to multi-row
-    /// sense-margin faults.
-    fn rmw_fallback(
+    /// One analog multi-row sense of `rows` into `dst` — an OR group or
+    /// an AND pair, all in one subarray — with `sense` building the
+    /// sense-amp mode for the group size.
+    ///
+    /// When the protected sense stays unstable even after re-calibration
+    /// retries, the last rung of the recovery ladder recomputes the
+    /// primitive the processor-centric way: protection-checked single-row
+    /// reads, a digital combine and a local write-back. Slower, but immune
+    /// to multi-row sense-margin faults. Nothing on the sense path moves
+    /// the mode register off `cfg`, so the rung's mode set is free.
+    fn sense_into(
         &mut self,
         cfg: PimConfig,
+        sense: fn(usize) -> Result<SenseMode, NvmError>,
         rows: &[RowAddr],
         dst: RowAddr,
         cols: u64,
-    ) -> Result<(), PimError> {
-        self.mem.note_rmw_fallback();
-        match self.rmw_combine(cfg, rows, dst, cols) {
-            Ok(()) => {
-                self.mem.note_recovery_resolved();
-                Ok(())
-            }
-            Err(e) => {
-                self.mem.note_recovery_failed();
-                Err(e)
-            }
-        }
-    }
-
-    fn rmw_combine(
-        &mut self,
-        cfg: PimConfig,
-        rows: &[RowAddr],
-        dst: RowAddr,
-        cols: u64,
-    ) -> Result<(), PimError> {
-        let mut acc: Option<RowData> = None;
-        for &row in rows {
-            let data = self.mem.activate_read(row, cols)?;
-            match &mut acc {
-                None => acc = Some(data),
-                Some(acc) => self.mem.buffer_logic(cfg, acc, &data, cols)?,
-            }
-        }
-        let acc = acc.expect("rows is non-empty by construction");
-        self.write_back_local(dst, acc)
-    }
-
-    // ---- primitives ----
-
-    /// One OR group (2..=fan rows) into `dst`.
-    fn primitive_or(
-        &mut self,
-        rows: &[RowAddr],
-        dst: RowAddr,
-        cols: u64,
-    ) -> Result<OpClass, PimError> {
-        let mut all = rows.to_vec();
-        all.push(dst);
-        let class = OpClass::classify(&all);
-        self.stats.count_class(class);
-        match class {
-            OpClass::IntraSubarray => {
-                self.mem.set_pim_config(PimConfig::Or);
-                let mode = SenseMode::or(rows.len()).map_err(MemError::from)?;
-                match self.mem.multi_activate_sense_protected(rows, mode, cols) {
-                    Ok(result) => self.write_back_local(dst, result)?,
-                    Err(MemError::SenseUnstable { .. }) => {
-                        self.rmw_fallback(PimConfig::Or, rows, dst, cols)?;
-                    }
-                    Err(e) => return Err(e.into()),
+    ) -> Result<(), MemError> {
+        self.stats.count_class(OpClass::IntraSubarray);
+        self.mem.set_pim_config(cfg);
+        let mode = sense(rows.len())?;
+        match self.mem.multi_activate_sense_protected(rows, mode, cols) {
+            Ok(result) => self.write_back_local(dst, result),
+            Err(MemError::SenseUnstable { .. }) => {
+                self.mem.note_rmw_fallback();
+                let recomputed =
+                    self.buffered_combine(cfg, rows, dst, cols, OpClass::IntraSubarray);
+                if recomputed.is_ok() {
+                    self.mem.note_recovery_resolved();
+                } else {
+                    self.mem.note_recovery_failed();
                 }
+                recomputed
             }
-            _ => self.buffered_combine(PimConfig::Or, rows, dst, cols, class)?,
+            Err(e) => Err(e),
         }
-        Ok(class)
     }
 
-    /// One 2-row AND or XOR pair into `dst`.
-    fn primitive_pair(
-        &mut self,
-        op: BitwiseOp,
-        a: RowAddr,
-        b: RowAddr,
-        dst: RowAddr,
-        cols: u64,
-    ) -> Result<OpClass, PimError> {
-        let class = OpClass::classify(&[a, b, dst]);
-        self.stats.count_class(class);
-        match (op, class) {
-            (BitwiseOp::And, OpClass::IntraSubarray) => {
-                self.mem.set_pim_config(PimConfig::And);
-                let mode = SenseMode::and(2).map_err(MemError::from)?;
-                match self.mem.multi_activate_sense_protected(&[a, b], mode, cols) {
-                    Ok(result) => self.write_back_local(dst, result)?,
-                    Err(MemError::SenseUnstable { .. }) => {
-                        self.rmw_fallback(PimConfig::And, &[a, b], dst, cols)?;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            (BitwiseOp::Xor, OpClass::IntraSubarray) => {
-                // Two micro-steps: operand A sampled onto Ch, operand B into
-                // the latch; the add-on transistors output the XOR (Fig. 6).
-                self.mem.set_pim_config(PimConfig::Xor);
-                let mut sampled = self.mem.activate_read(a, cols)?;
-                let latched = self.mem.activate_read(b, cols)?;
-                sampled.xor_assign(&latched);
-                self.write_back_local(dst, sampled)?;
-            }
-            (_, class) => {
-                let cfg = match op {
-                    BitwiseOp::And => PimConfig::And,
-                    BitwiseOp::Xor => PimConfig::Xor,
-                    BitwiseOp::Or => PimConfig::Or,
-                    BitwiseOp::Not => unreachable!("NOT never reaches primitive_pair"),
-                };
-                self.buffered_combine(cfg, &[a, b], dst, cols, class)?;
-            }
-        }
-        Ok(class)
-    }
-
-    /// INV of one row into `dst`.
-    fn primitive_not(
-        &mut self,
-        src: RowAddr,
-        dst: RowAddr,
-        cols: u64,
-    ) -> Result<OpClass, PimError> {
-        let class = OpClass::classify(&[src, dst]);
-        self.stats.count_class(class);
-        self.mem.set_pim_config(PimConfig::Inv);
-        match class {
-            OpClass::IntraSubarray => {
-                let data = self.mem.activate_read(src, cols)?;
-                let inverted = self.mem.invert_in_sense_amp(data);
-                self.write_back_local(dst, inverted)?;
-            }
-            OpClass::InterSubarray => {
-                let data = self.mem.read_row_to_buffer(src, cols)?;
-                let inverted = self.mem.invert_in_sense_amp(data);
-                self.mem.write_row_from_buffer(dst, inverted)?;
-            }
-            OpClass::InterBank => {
-                let data = self.mem.read_row_to_io_buffer(src, cols)?;
-                let inverted = self.mem.invert_in_sense_amp(data);
-                self.mem.write_row_from_io_buffer(dst, inverted)?;
-            }
-            OpClass::HostFallback => {
-                let data = self.mem.read_row_over_bus(src, cols)?;
-                let inverted = self.mem.invert_in_sense_amp(data);
-                self.mem.write_row_over_bus(dst, inverted)?;
-            }
-        }
-        Ok(class)
-    }
-
-    /// The buffer-logic path shared by inter-subarray, inter-bank and
-    /// host-fallback execution: stream operands to the combining buffer,
-    /// apply the digital logic, write the result to `dst`.
+    /// The buffer-logic path: stream `rows` through the path of `class`
+    /// into the combining buffer, apply the digital logic, write the
+    /// result to `dst` the same way.
     fn buffered_combine(
         &mut self,
         cfg: PimConfig,
@@ -521,27 +430,18 @@ impl PinatuboEngine {
         dst: RowAddr,
         cols: u64,
         class: OpClass,
-    ) -> Result<(), PimError> {
+    ) -> Result<(), MemError> {
         self.mem.set_pim_config(cfg);
         let mut acc: Option<RowData> = None;
         for &row in rows {
-            let data = match class {
-                OpClass::HostFallback => self.mem.read_row_over_bus(row, cols)?,
-                OpClass::InterBank => self.mem.read_row_to_io_buffer(row, cols)?,
-                _ => self.mem.read_row_to_buffer(row, cols)?,
-            };
+            let data = self.read_via(class, row, cols)?;
             match &mut acc {
                 None => acc = Some(data),
                 Some(acc) => self.mem.buffer_logic(cfg, acc, &data, cols)?,
             }
         }
         let acc = acc.expect("rows is non-empty by construction");
-        match class {
-            OpClass::HostFallback => self.mem.write_row_over_bus(dst, acc)?,
-            OpClass::InterBank => self.mem.write_row_from_io_buffer(dst, acc)?,
-            _ => self.mem.write_row_from_buffer(dst, acc)?,
-        }
-        Ok(())
+        self.write_via(class, dst, acc)
     }
 }
 
@@ -933,6 +833,46 @@ mod tests {
             with.memory().peek_row(dst).expect("a").count_ones(),
             without.memory().peek_row(dst).expect("b").count_ones()
         );
+    }
+
+    #[test]
+    fn unstable_and_pairs_fall_back_to_read_modify_write() {
+        // A transient rate of 0.5 on every two-row AND sense keeps the
+        // duplicate senses disagreeing through every retry, so each pair
+        // of the chain takes the read-modify-write rung.
+        let mut mem = MemConfig::pcm_default();
+        mem.fault_model =
+            pinatubo_nvm::FaultModel::with_seed(0xA11D).with_transients(0.0, 0.0, 0.5);
+        mem.reliability = pinatubo_mem::ReliabilityConfig::protected_secded();
+        let mut e = PinatuboEngine::new(mem, PinatuboConfig::default());
+        let rows: Vec<RowAddr> = (0..4).map(|r| addr(0, r)).collect();
+        let dst = addr(0, 10);
+        let data: Vec<Vec<bool>> = (0..4)
+            .map(|r| (0..256).map(|c| (c * 7 + r * 3) % 5 != 0).collect())
+            .collect();
+        load(&mut e, &rows, &data);
+        let outcome = e.bulk_op(BitwiseOp::And, &rows, dst, 256).expect("AND");
+        assert_eq!(
+            e.memory().peek_row(dst).expect("dst").bits(256),
+            reference(BitwiseOp::And, &data)
+        );
+        let r = outcome.stats.reliability;
+        assert!(r.is_consistent(), "ledger must close: {r:?}");
+        assert_eq!(r.silent_wrong_bits, 0);
+        assert_eq!(outcome.primitives, 3);
+        assert_eq!(e.stats().intra_subarray, 3);
+        // Pinned fixed-seed snapshot of the ladder and its cost.
+        assert_eq!(r.rmw_fallbacks, 3, "pinned: {r:?}");
+        assert_eq!(r.sense_retries, 9, "pinned: {r:?}");
+        assert_eq!(r.physical_senses, 30, "pinned: {r:?}");
+        let close = |label: &str, a: f64, b: f64| {
+            assert!(
+                (a - b).abs() <= 1e-6 * a.abs().max(b.abs()),
+                "{label}: {a} vs {b}"
+            );
+        };
+        close("time_ns", outcome.time_ns(), 1_411.8);
+        close("energy_pj", outcome.energy_pj(), 205_891.2);
     }
 
     #[test]

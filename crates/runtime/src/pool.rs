@@ -5,16 +5,18 @@
 //! [`PimSystem::execute_batch`] is a one-shot session over one batch, and
 //! a long-lived session amortizes the pool's setup over a whole stream.
 //! Opening a session clones every channel's engine shard (with
-//! `clone_channel`) into the pool, each shard behind its own lock, and
-//! spawns the worker threads. No shard belongs to a thread: submitted
-//! requests are published to one claim board, a FIFO of jobs per
-//! channel, and an *executor* claims a whole channel, runs every job
-//! queued there in submission order under that channel's shard lock, and
-//! releases it. Every worker thread is an executor, and so is the caller
-//! at every sync point, so a session executes on up to `workers + 1`
-//! threads. There is no inter-batch barrier, and the parent system keeps
-//! only a stale mirror of each channel, reconciled on demand from the
-//! shards' dirty-state deltas (O(touched state), not O(memory)).
+//! `clone_channel`) into the pool, each shard behind its own lock. No
+//! shard belongs to a thread: submitted requests are published to one
+//! claim board, a FIFO of jobs per channel, and an *executor* claims a
+//! whole channel, runs every job queued there in submission order under
+//! that channel's shard lock, and releases it. Every worker thread is an
+//! executor, and so is the caller at every sync point, so a session
+//! executes on up to `workers + 1` threads. The worker threads start at
+//! the first publish ahead of a sync point, so a session whose jobs all
+//! wait for a sync point runs them all on the caller and starts none.
+//! There is no inter-batch barrier, and the parent system keeps only a
+//! stale mirror of each channel, reconciled on demand from the shards'
+//! dirty-state deltas (O(touched state), not O(memory)).
 //!
 //! Synchronization points are explicit and rare:
 //!
@@ -29,7 +31,8 @@
 //! To drain, the caller publishes what it has buffered, runs every
 //! channel no worker holds, and waits for the workers to release the
 //! rest; it then folds every shard into the parent in ascending channel
-//! order on its own thread, so no message or reply crosses threads.
+//! order, on its own thread and under that shard's lock, so no message or
+//! reply crosses threads.
 //!
 //! Each request's cost summary is handed back once, by the sync point
 //! that completes it: [`ExecSession::sync`] returns the summaries of
@@ -53,8 +56,10 @@
 //! single-channel stream can have (all its rows live on that channel),
 //! cross-channel dependences only arise through straddling requests,
 //! which are full barriers, and each request is primed with exactly the
-//! sense-amp mode register the serial stream would have held (see
-//! `scheduler::mode_for`).
+//! sense-amp mode register the serial stream would have held: every
+//! engine path sets the register to its op's [`BitwiseOp::pim_config`]
+//! before it touches data, so the register after any request is that
+//! configuration of the request's op.
 //!
 //! A panic in a request is contained on whichever executor ran it, a
 //! worker thread or the caller: the panicking channel is poisoned and its
@@ -64,11 +69,11 @@
 //! point.
 
 use crate::bitvec::PimBitVec;
-use crate::scheduler::{mode_for, BatchRequest};
+use crate::scheduler::BatchRequest;
 use crate::system::{bitwise_on_engine, check_lengths, OpSummary, PimSystem};
 use crate::RuntimeError;
-use pinatubo_core::{BitwiseOp, BulkOp, EngineStats, PinatuboEngine};
-use pinatubo_mem::{ChannelDelta, MemStats, PimConfig, RowAddr};
+use pinatubo_core::{BitwiseOp, BulkOp, PinatuboEngine};
+use pinatubo_mem::{PimConfig, RowAddr};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -82,27 +87,10 @@ struct Job {
     prime: PimConfig,
     slab: Arc<Vec<BatchRequest>>,
     index: usize,
-    row_bits: u64,
 }
 
 /// A request's submission position paired with its outcome.
 type JobResult = (usize, Result<(OpSummary, BulkOp), RuntimeError>);
-
-/// Everything one channel hands back at a sync point.
-struct ChannelSync {
-    channel: u32,
-    deltas: Vec<ChannelDelta>,
-    mem_stats: MemStats,
-    engine_stats: EngineStats,
-    results: Vec<JobResult>,
-    /// Set when a request on the shard panicked: `(position, panic
-    /// message)`.
-    panicked: Option<(usize, String)>,
-    /// Post-delta digest of the shard's channel state, computed only in
-    /// debug builds so the parent can assert the dirty-delta sync left
-    /// both sides identical (i.e. the delta missed no touched state).
-    digest: Option<u64>,
-}
 
 /// One channel's engine shard, kept for the whole session and run by
 /// whichever executor claims the channel.
@@ -126,7 +114,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_one(shard: &mut Shard, job: Job) {
+fn run_one(shard: &mut Shard, job: Job, row_bits: u64) {
     if shard.poisoned.is_some() {
         // The panic is reported at sync; queued work behind it is part
         // of the poisoned channel's lost state.
@@ -149,7 +137,7 @@ fn run_one(shard: &mut Shard, job: Job) {
     let operands: Vec<&PimBitVec> = request.operands.iter().collect();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         engine.memory_mut().preload_pim_config(job.prime);
-        bitwise_on_engine(engine, job.row_bits, request.op, &operands, &request.dst)
+        bitwise_on_engine(engine, row_bits, request.op, &operands, &request.dst)
     }));
     match outcome {
         Ok(Ok(v)) => shard.results.push((job.pos, Ok(v))),
@@ -160,38 +148,6 @@ fn run_one(shard: &mut Shard, job: Job) {
         Err(payload) => {
             shard.poisoned = Some((job.pos, panic_message(payload)));
         }
-    }
-}
-
-fn sync_one_shard(shard: &mut Shard) -> ChannelSync {
-    if let Some((pos, msg)) = &shard.poisoned {
-        // Fail fast: a poisoned shard ships nothing — not even results
-        // completed before the panic, since the state they produced
-        // cannot be trusted or extracted. The parent keeps the
-        // channel's last synced state.
-        return ChannelSync {
-            channel: shard.channel,
-            deltas: Vec::new(),
-            mem_stats: MemStats::default(),
-            engine_stats: EngineStats::default(),
-            results: Vec::new(),
-            panicked: Some((*pos, msg.clone())),
-            digest: None,
-        };
-    }
-    let deltas = shard.engine.memory_mut().take_dirty_state();
-    let mem_stats = shard.engine.memory_mut().take_stats();
-    let engine_stats = shard.engine.take_engine_stats();
-    let digest =
-        cfg!(debug_assertions).then(|| shard.engine.memory().channel_digest(shard.channel));
-    ChannelSync {
-        channel: shard.channel,
-        deltas,
-        mem_stats,
-        engine_stats,
-        results: std::mem::take(&mut shard.results),
-        panicked: None,
-        digest,
     }
 }
 
@@ -227,6 +183,8 @@ struct Pool {
     /// Signalled whenever an executor releases a channel; the caller
     /// waits here at a sync point for the channels workers still hold.
     released: Condvar,
+    /// Bits per row of the session's system.
+    row_bits: u64,
 }
 
 /// Locks `mutex`, recovering it from poison. Every update of the board
@@ -267,7 +225,7 @@ impl Pool {
                 drop(board);
                 let mut shard = lock(&self.shards[channel]);
                 for job in jobs {
-                    run_one(&mut shard, job);
+                    run_one(&mut shard, job, self.row_bits);
                 }
                 drop(shard);
                 board = lock(&self.board);
@@ -322,6 +280,8 @@ fn flush_threshold() -> usize {
 pub struct ExecSession<'a> {
     system: &'a mut PimSystem,
     pool: Arc<Pool>,
+    /// Worker threads to start at the first publish.
+    workers: usize,
     threads: Vec<JoinHandle<()>>,
     /// Submission-ordered jobs not yet on the board, published at
     /// [`flush_threshold`] jobs and at every sync point (a caller sees
@@ -335,7 +295,6 @@ pub struct ExecSession<'a> {
     slots: Vec<Option<(OpSummary, BulkOp)>>,
     /// Positions already handed back, so `slots` starts there.
     handed_back: usize,
-    first_err: Option<(usize, RuntimeError)>,
     /// Every error observed so far, keyed by submission position — the
     /// root-cause failure *and* the [`RuntimeError::ChannelHalted`]
     /// markers of requests queued behind it, so no position silently
@@ -343,13 +302,13 @@ pub struct ExecSession<'a> {
     errors: std::collections::BTreeMap<usize, RuntimeError>,
     last_op: Option<BitwiseOp>,
     entry_mode: PimConfig,
-    row_bits: u64,
 }
 
 impl PimSystem {
     /// Opens a persistent execution session at the default worker
     /// count, the channel count (see
-    /// [`PimSystem::open_session_with_workers`]).
+    /// [`PimSystem::open_session_with_workers`], which also says when
+    /// the worker threads start).
     #[must_use]
     pub fn open_session(&mut self) -> ExecSession<'_> {
         let channels = self.engine().memory().geometry().channels as usize;
@@ -358,10 +317,13 @@ impl PimSystem {
 
     /// Opens a persistent execution session with an explicit worker
     /// count. The caller runs shards at every sync point, so the session
-    /// executes on up to `workers + 1` threads: it spawns `workers`
-    /// worker threads (at least one), but never more than one fewer than
-    /// the channel count, since further threads would only idle. Results
-    /// and statistics are identical for every worker count — only
+    /// executes on up to `workers + 1` threads: it runs `workers` worker
+    /// threads (at least one), but never more than one fewer than the
+    /// channel count, since further threads would only idle. The threads
+    /// start when the session first publishes jobs before a sync point,
+    /// so a session that never does — fewer than 32 jobs between syncs,
+    /// or a one-core host — runs every job on the caller and starts none.
+    /// Results and statistics are identical for every worker count — only
     /// wall-clock time differs.
     #[must_use]
     pub fn open_session_with_workers(&mut self, workers: usize) -> ExecSession<'_> {
@@ -388,30 +350,21 @@ impl PimSystem {
             }),
             work: Condvar::new(),
             released: Condvar::new(),
+            row_bits,
         });
-        // The caller is the extra executor: more threads would only idle.
-        let spawned = workers.max(1).min((channels as usize).saturating_sub(1));
-        let threads = (0..spawned)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    pool.execute(lock(&pool.board), &pool.work, |board| board.shutdown);
-                })
-            })
-            .collect();
         ExecSession {
             system: self,
             pool,
-            threads,
+            // The caller is the extra executor: more threads would only idle.
+            workers: workers.max(1).min((channels as usize).saturating_sub(1)),
+            threads: Vec::new(),
             pending: Vec::new(),
             flush_jobs: flush_threshold(),
             slots: Vec::new(),
             handed_back: 0,
-            first_err: None,
             errors: std::collections::BTreeMap::new(),
             last_op: None,
             entry_mode,
-            row_bits,
         }
     }
 }
@@ -452,7 +405,7 @@ impl ExecSession<'_> {
         slab: &Arc<Vec<BatchRequest>>,
         index: usize,
     ) -> Result<usize, RuntimeError> {
-        if let Some((_, e)) = &self.first_err {
+        if let Some(e) = self.first_err() {
             return Err(e.clone());
         }
         let pos = self.handed_back + self.slots.len();
@@ -464,7 +417,7 @@ impl ExecSession<'_> {
             self.slots.push(None);
             return Err(e);
         }
-        let prime = self.last_op.map_or(self.entry_mode, mode_for);
+        let prime = self.last_op.map_or(self.entry_mode, BitwiseOp::pim_config);
         match home_of(&operands, dst) {
             Some(channel) => {
                 let job = Job {
@@ -473,10 +426,10 @@ impl ExecSession<'_> {
                     prime,
                     slab: Arc::clone(slab),
                     index,
-                    row_bits: self.row_bits,
                 };
                 self.pending.push(job);
                 if self.pending.len() >= self.flush_jobs {
+                    self.spawn_workers();
                     drop(self.pool.publish(&mut self.pending));
                     self.pool.work.notify_all();
                 }
@@ -494,8 +447,13 @@ impl ExecSession<'_> {
                     .engine_mut()
                     .memory_mut()
                     .preload_pim_config(prime);
-                match bitwise_on_engine(self.system.engine_mut(), self.row_bits, op, &operands, dst)
-                {
+                match bitwise_on_engine(
+                    self.system.engine_mut(),
+                    self.pool.row_bits,
+                    op,
+                    &operands,
+                    dst,
+                ) {
                     Ok(v) => self.slots.push(Some(v)),
                     Err(e) => {
                         self.note_err(pos, e.clone());
@@ -605,21 +563,20 @@ impl ExecSession<'_> {
     pub fn close(mut self) -> Result<Vec<OpSummary>, RuntimeError> {
         self.sync_internal();
         self.shutdown();
-        if self.first_err.is_none() {
-            // Leave the unified mode register where the serial stream
-            // would: at the last request's configuration.
-            if let Some(op) = self.last_op {
-                self.system
-                    .engine_mut()
-                    .memory_mut()
-                    .preload_pim_config(mode_for(op));
-            }
+        if let Some(e) = self.first_err() {
+            let e = e.clone();
+            self.hand_back();
+            return Err(e);
         }
-        let summaries = self.hand_back();
-        match self.first_err.take() {
-            Some((_, e)) => Err(e),
-            None => Ok(summaries),
+        // Leave the unified mode register where the serial stream would:
+        // at the last request's configuration.
+        if let Some(op) = self.last_op {
+            self.system
+                .engine_mut()
+                .memory_mut()
+                .preload_pim_config(op.pim_config());
         }
+        Ok(self.hand_back())
     }
 
     /// Every error recorded so far, keyed by submission position (the
@@ -638,8 +595,8 @@ impl ExecSession<'_> {
     /// nothing back; reports the earliest failure, if any.
     fn settle(&mut self) -> Result<(), RuntimeError> {
         self.sync_internal();
-        match &self.first_err {
-            Some((_, e)) => Err(e.clone()),
+        match self.first_err() {
+            Some(e) => Err(e.clone()),
             None => Ok(()),
         }
     }
@@ -659,17 +616,35 @@ impl ExecSession<'_> {
     }
 
     fn note_err(&mut self, pos: usize, e: RuntimeError) {
-        self.errors.entry(pos).or_insert_with(|| e.clone());
-        match &self.first_err {
-            Some((first, _)) if *first <= pos => {}
-            _ => self.first_err = Some((pos, e)),
+        self.errors.entry(pos).or_insert(e);
+    }
+
+    /// The earliest-submitted failed request's error, if any.
+    fn first_err(&self) -> Option<&RuntimeError> {
+        self.errors.values().next()
+    }
+
+    /// Starts the worker threads if they have not started yet; runs
+    /// before each publish ahead of a sync point.
+    fn spawn_workers(&mut self) {
+        if !self.threads.is_empty() {
+            return;
         }
+        self.threads = (0..self.workers)
+            .map(|_| {
+                let pool = Arc::clone(&self.pool);
+                std::thread::spawn(move || {
+                    pool.execute(lock(&pool.board), &pool.work, |board| board.shutdown);
+                })
+            })
+            .collect();
     }
 
     /// Drains all queues and reconciles the parent with every shard. The
     /// caller publishes the rest of its buffer without waking anyone,
     /// runs every channel no worker holds, waits for the workers to
-    /// release the others, and then folds every shard on its own thread.
+    /// release the others, and then folds every shard on its own thread,
+    /// under that shard's lock.
     fn sync_internal(&mut self) {
         let board = self.pool.publish(&mut self.pending);
         self.pool.execute(board, &self.pool.released, |board| {
@@ -677,43 +652,44 @@ impl ExecSession<'_> {
         });
         // Fixed merge order — ascending channel — so the folded
         // statistics are identical for every worker count.
-        for channel in 0..self.pool.shards.len() {
-            let sync = sync_one_shard(&mut lock(&self.pool.shards[channel]));
-            if let Some((pos, message)) = sync.panicked {
-                self.note_err(
-                    pos,
-                    RuntimeError::WorkerPanicked {
-                        channel: sync.channel,
-                        message,
-                    },
-                );
+        let pool = Arc::clone(&self.pool);
+        for shard in &pool.shards {
+            let mut shard = lock(shard);
+            let channel = shard.channel;
+            if let Some((pos, message)) = &shard.poisoned {
+                // Fail fast: a poisoned shard ships nothing — not even
+                // results completed before the panic, since the state
+                // they produced cannot be trusted or extracted. The
+                // parent keeps the channel's last synced state.
+                let message = message.clone();
+                self.note_err(*pos, RuntimeError::WorkerPanicked { channel, message });
                 continue;
             }
-            for (pos, result) in sync.results {
+            for (pos, result) in shard.results.drain(..) {
                 match result {
                     Ok(v) => self.slots[pos - self.handed_back] = Some(v),
                     Err(e) => self.note_err(pos, e),
                 }
             }
-            // Stats first: the deltas re-anchor the shard's relative
-            // tRRD/tFAW history on the parent clock, which must already
+            // The delta before the stats: taking the stats clears the
+            // activation history the delta ships relative to the shard's
+            // clock. Then merge the stats first: the delta re-anchors
+            // that history on the parent clock, which must already
             // include the shard's elapsed time.
+            let deltas = shard.engine.memory_mut().take_dirty_state();
+            let stats = shard.engine.memory_mut().take_stats();
             let mem = self.system.engine_mut().memory_mut();
-            mem.merge_stats(sync.mem_stats);
-            for delta in sync.deltas {
+            mem.merge_stats(stats);
+            for delta in deltas {
                 mem.apply_delta(delta);
             }
-            self.system
-                .engine_mut()
-                .merge_engine_stats(sync.engine_stats);
-            if let Some(shard_digest) = sync.digest {
-                debug_assert_eq!(
-                    self.system.engine().memory().channel_digest(sync.channel),
-                    shard_digest,
-                    "dirty-delta sync must leave channel {} identical in parent and shard",
-                    sync.channel
-                );
-            }
+            let engine_stats = shard.engine.take_engine_stats();
+            self.system.engine_mut().merge_engine_stats(engine_stats);
+            debug_assert_eq!(
+                self.system.engine().memory().channel_digest(channel),
+                shard.engine.memory().channel_digest(channel),
+                "dirty-delta sync must leave channel {channel} identical in parent and shard"
+            );
         }
         // One ledger check per sync point: detected must equal
         // corrected + uncorrectable once every shard's counters are in.
@@ -876,6 +852,66 @@ mod tests {
         }
         assert!(session.close().expect("close").is_empty());
         assert_eq!(s.trace().len(), submitted);
+    }
+
+    /// Jobs published for a channel while an executor holds it wait for
+    /// its release and then come back in submission order; the other
+    /// channel stays claimable meanwhile.
+    #[test]
+    fn a_running_channel_keeps_its_later_jobs_in_order() {
+        let slab = Arc::new(Vec::new());
+        let job = |pos, channel| Job {
+            pos,
+            channel,
+            prime: PimConfig::Or,
+            slab: Arc::clone(&slab),
+            index: 0,
+        };
+        let mut board = Board {
+            queues: vec![vec![job(0, 0)], Vec::new()],
+            running: vec![false; 2],
+            shutdown: false,
+        };
+        let positions = |jobs: Vec<Job>| jobs.iter().map(|j| j.pos).collect::<Vec<_>>();
+        let (channel, jobs) = board.claim().expect("channel 0 is claimable");
+        assert_eq!((channel, positions(jobs)), (0, vec![0]));
+        for (pos, channel) in [(1, 0), (2, 1), (3, 0)] {
+            board.queues[channel as usize].push(job(pos, channel));
+        }
+        let (channel, jobs) = board.claim().expect("channel 1 is claimable");
+        assert_eq!((channel, positions(jobs)), (1, vec![2]));
+        assert!(board.claim().is_none(), "channel 0 is still running");
+        board.running[0] = false;
+        let (channel, jobs) = board.claim().expect("channel 0 was released");
+        assert_eq!((channel, positions(jobs)), (0, vec![1, 3]));
+    }
+
+    /// A session starts its worker threads only when it first publishes
+    /// jobs ahead of a sync point: jobs that all wait for a sync run on
+    /// the caller.
+    #[test]
+    fn workers_start_at_the_first_publish() {
+        let mut s = sys();
+        let g = s.alloc_group(3, 64).expect("group");
+        let mut session = s.open_session();
+        let submit = |session: &mut ExecSession<'_>, n: usize| {
+            for _ in 0..n {
+                session
+                    .submit(BitwiseOp::Or, &[&g[0], &g[1]], &g[2])
+                    .expect("submit");
+            }
+        };
+        submit(&mut session, FLUSH_JOBS - 1);
+        session.sync().expect("sync");
+        assert!(session.threads.is_empty(), "no publish ahead of a sync");
+        submit(&mut session, FLUSH_JOBS);
+        let expected = if flush_threshold() == usize::MAX {
+            0
+        } else {
+            3
+        };
+        assert_eq!(session.threads.len(), expected);
+        session.close().expect("close");
     }
 
     #[test]

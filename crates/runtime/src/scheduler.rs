@@ -59,9 +59,7 @@ use crate::bitvec::PimBitVec;
 use crate::system::{OpSummary, PimSystem};
 use crate::RuntimeError;
 use pinatubo_core::{BitwiseOp, OpClass};
-use pinatubo_mem::{
-    ChannelTimeline, PimConfig, ReliabilityStats, RequestStream, RowAddr, TimeBreakdown,
-};
+use pinatubo_mem::{ChannelTimeline, ReliabilityStats, RequestStream, RowAddr, TimeBreakdown};
 use std::collections::BTreeMap;
 
 /// One queued operation request.
@@ -195,21 +193,6 @@ fn mode_switches(ops: impl Iterator<Item = BitwiseOp>) -> u64 {
         last = Some(op);
     }
     switches
-}
-
-/// The sense-amp reference configuration a bulk op leaves behind: every
-/// engine path (including host fallbacks) sets the mode register to the
-/// op's configuration before touching data, so the register's value after
-/// any request is a pure function of that request's op. Execution
-/// sessions use this to prime each shard with exactly the mode the
-/// serial stream would have had, keeping MRS accounting identical.
-pub(crate) fn mode_for(op: BitwiseOp) -> PimConfig {
-    match op {
-        BitwiseOp::Or => PimConfig::Or,
-        BitwiseOp::And => PimConfig::And,
-        BitwiseOp::Xor => PimConfig::Xor,
-        BitwiseOp::Not => PimConfig::Inv,
-    }
 }
 
 /// Beam width of the bounded-lookahead refinement in

@@ -47,7 +47,8 @@ pub struct ServeConfig {
     /// [`PimSystem::open_session_with_workers`]); `0` means the channel
     /// count. The caller also runs shards at every sync point, so the
     /// session executes on up to `workers + 1` threads; it never spawns
-    /// more than one worker fewer than the channel count.
+    /// more than one worker fewer than the channel count, and spawns
+    /// them only when it first publishes jobs ahead of a sync point.
     pub workers: usize,
     /// Admission bound: maximum admitted-but-uncompleted requests per
     /// channel. A submission that would push any channel past this is
