@@ -7,6 +7,7 @@
 
 use super::MainMemory;
 use crate::address::RowAddr;
+use crate::array::RowData;
 use crate::page::{PageId, PageTable, RowPage};
 use crate::stats::MemStats;
 use pinatubo_nvm::fault::FaultState;
@@ -32,9 +33,10 @@ pub(super) struct DirtyLog {
 }
 
 /// The state one channel's owner must ship to bring a stale mirror up to
-/// date: exactly the row pages, wear counters, protection metadata
-/// (SEC-DED check bytes) and fault-stream position touched since the last
-/// drain.
+/// date: exactly the row pages, wear counters, protection metadata (the
+/// intended images of rows a write left with wrong bits, and the removal
+/// of each image a clean write dropped) and fault-stream position touched
+/// since the last drain.
 /// Produced by [`MainMemory::take_dirty_state`], consumed by
 /// [`MainMemory::apply_delta`]. Dirty pages travel as `Arc` references —
 /// O(1) each, no row data cloned — and the receiver installs them
@@ -47,7 +49,8 @@ pub struct ChannelDelta {
     pub(super) channel: u32,
     pub(super) pages: Vec<(PageId, Arc<RowPage>)>,
     wear: Vec<(RowAddr, u64)>,
-    protect: Vec<(RowAddr, (u64, Vec<u64>))>,
+    /// `Some(image)` keeps a row's intended image, `None` drops it.
+    protect: Vec<(RowAddr, Option<RowData>)>,
     fault: Option<FaultState>,
     /// Per-rank activation issue times as *relative* offsets from the
     /// sender's clock at drain time (entry − sender now, hence ≤ 0): the
@@ -136,7 +139,7 @@ fn sorted_keys<K: Ord>(set: HashSet<K>) -> Vec<K> {
 impl MainMemory {
     /// Shares everything `channel` owns into an independent worker shard,
     /// *keeping* this memory's copy in place as a stale mirror. The
-    /// shard gets the channel's rows, wear, protection metadata and
+    /// shard gets the channel's rows, wear, kept intended images and
     /// fault-injection stream; configuration and the
     /// cached fan-in analyses are copied (never re-derived — the yield
     /// sweep is a Monte-Carlo run). Row pages are shared by reference
@@ -255,13 +258,11 @@ impl MainMemory {
             }
         }
         for addr in sorted_keys(dirty.protect) {
-            if let Some(p) = self.protect.get(&addr) {
-                by_channel
-                    .entry(addr.channel)
-                    .or_insert_with(|| ChannelDelta::empty(addr.channel))
-                    .protect
-                    .push((addr, p.clone()));
-            }
+            by_channel
+                .entry(addr.channel)
+                .or_insert_with(|| ChannelDelta::empty(addr.channel))
+                .protect
+                .push((addr, self.protect.get(&addr).cloned()));
         }
         for channel in dirty.fault {
             by_channel
@@ -288,8 +289,9 @@ impl MainMemory {
 
     /// Applies a delta produced by the owner of a channel's state: row
     /// pages install wholesale (re-sharing them between both sides), wear
-    /// and protection-metadata entries overwrite, and the fault stream
-    /// (when carried) replaces this side's position.
+    /// entries and kept intended images overwrite, a dropped image is
+    /// removed here too, and the fault stream (when carried) replaces this
+    /// side's position.
     /// Application is not logged as dirty — both sides agree on the
     /// shipped state afterwards, so re-shipping it would be pure waste.
     ///
@@ -306,8 +308,11 @@ impl MainMemory {
         for (addr, writes) in delta.wear {
             self.wear.insert(addr, writes);
         }
-        for (addr, meta) in delta.protect {
-            self.protect.insert(addr, meta);
+        for (addr, image) in delta.protect {
+            match image {
+                Some(image) => self.protect.insert(addr, image),
+                None => self.protect.remove(&addr),
+            };
         }
         if let Some(state) = delta.fault {
             self.fault.insert(state.channel(), state);
@@ -347,7 +352,7 @@ impl MainMemory {
     }
 
     /// Order-independent digest of every piece of functional state
-    /// `channel` owns (rows, wear, protection metadata, fault-stream
+    /// `channel` owns (rows, wear, kept intended images, fault-stream
     /// position; activation history is clock-scoped and deliberately
     /// excluded). Two memories that digest equal respond identically to
     /// any command on the channel. Used by the session sync's debug

@@ -17,8 +17,8 @@
 //! hold the machinery behind them: `delta` (dirty-state tracking and the
 //! channel clone/delta/merge protocol), `fault_path` (the packed and
 //! per-cell reference physical sense/write paths and their fault-site
-//! cache) and `protection` (the SEC-DED check-byte store, the read check,
-//! escape accounting and ECC charging).
+//! cache) and `protection` (the kept intended images, the SEC-DED read
+//! check, escape accounting and ECC charging).
 
 mod delta;
 mod fault_path;
@@ -71,18 +71,21 @@ pub enum ReliableFanIn {
 
 /// How stored rows are protected against corruption on the read path.
 ///
-/// SEC-DED keeps per-row metadata computed from the *intended* data at
-/// write time (the metadata store itself is modeled reliable, as a real
-/// design would protect it with stronger coding) and checks it on every
-/// single-row read.
+/// SEC-DED checks every single-row read against the check bytes of the
+/// data each row was last written with (its *intended* data). That data
+/// is the stored row itself unless the write left wrong bits, in which
+/// case the controller keeps the intended image beside the row; the kept
+/// images are modeled reliable, as a real design would protect its check
+/// bits with stronger coding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtectionMode {
     /// No stored metadata, nothing checked: corruption is silent.
     None,
     /// A (72,64) Hamming SEC-DED check byte per 64-bit word
-    /// ([`crate::secded`]; 12.5 % storage overhead, charged). Single-bit
-    /// errors are corrected in place without touching the retry ladder;
-    /// double-bit detections still fall through to it.
+    /// ([`crate::secded`]; 12.5 % storage overhead, charged on every write
+    /// and read). Single-bit errors are corrected in place without
+    /// touching the retry ladder; double-bit detections still fall through
+    /// to it.
     SecDed,
 }
 
@@ -255,12 +258,14 @@ pub struct MainMemory {
     /// The fan-in limit enforced by the protected sense path (resolved
     /// once at construction from `config.reliability.reliable_fan_in`).
     reliable_or_fan_in: usize,
-    /// Per-row protection metadata, keyed by row, computed from the
-    /// *intended* data on every write: packed SEC-DED check bytes (one per
-    /// data word) under [`ProtectionMode::SecDed`].
-    /// Stored as `(intended_len_bits, metadata_words)`; empty under
-    /// [`ProtectionMode::None`].
-    protect: HashMap<RowAddr, (u64, Vec<u64>)>,
+    /// The intended image of each row whose cells differ from it after
+    /// its last write (an unverified store or poke that left wrong bits,
+    /// or a write that ran out of retries), under
+    /// [`ProtectionMode::SecDed`]. Every other written row's intended data
+    /// is the stored row itself. Empty under [`ProtectionMode::None`] and
+    /// without fault injection, where every write stores what it was
+    /// given.
+    protect: HashMap<RowAddr, RowData>,
     mode: PimConfig,
     stats: MemStats,
     /// Addresses touched since the last [`MainMemory::take_dirty_state`]
@@ -433,8 +438,9 @@ impl MainMemory {
     fn poke(&mut self, addr: RowAddr, data: Cow<'_, RowData>) -> Result<(), MemError> {
         self.validate_addr(addr)?;
         self.validate_cols(data.len_bits())?;
+        // Without fault injection every cell holds what was written, so
+        // the stored row is its own intended image and keeps none.
         if self.fault.is_empty() {
-            self.record_protection(addr, &data);
             self.store(addr, data.into_owned());
             return Ok(());
         }
@@ -449,7 +455,7 @@ impl MainMemory {
             let bad = self.store_physical(addr, data, WriteSource::Bus);
             self.stats.reliability.injected_write_faults += bad;
             if bad == 0 || !verify {
-                self.record_protection(addr, data);
+                self.record_protection(addr, data, bad);
                 self.note_unverified_store(addr, data, bad);
                 if verify && attempt > 0 {
                     self.stats.reliability.corrected_errors += 1;
@@ -460,7 +466,7 @@ impl MainMemory {
                 self.stats.reliability.detected_errors += 1;
             }
             if attempt >= self.config.reliability.max_write_retries {
-                self.record_protection(addr, data);
+                self.record_protection(addr, data, bad);
                 self.stats.reliability.uncorrectable_errors += 1;
                 return Err(MemError::UncorrectableWrite {
                     addr,
@@ -999,11 +1005,11 @@ impl MainMemory {
     /// `verify_writes` are enabled: every attempt pays the full write
     /// (time, energy, wear) plus one read-back sense pass for the verify.
     /// Takes the buffer by value: the fault-free path stores the caller's
-    /// image directly instead of cloning it.
+    /// image directly instead of cloning it (and, like a fault-free poke,
+    /// keeps no intended image: the stored row is the intended data).
     fn program_row(&mut self, addr: RowAddr, data: RowData, local: bool) -> Result<(), MemError> {
         let bits = data.len_bits();
         if self.fault.is_empty() {
-            self.record_protection(addr, &data);
             self.charge_write(addr, bits);
             self.store(addr, data);
             return Ok(());
@@ -1024,13 +1030,13 @@ impl MainMemory {
                 // data) still repair or flag the corruption at read time;
                 // with protection off, or when the corruption aliases the
                 // code, the wrong bits are silent.
-                self.record_protection(addr, &data);
+                self.record_protection(addr, &data, bad);
                 self.note_unverified_store(addr, &data, bad);
                 return Ok(());
             }
             self.charge_verify_pass(bits);
             if bad == 0 {
-                self.record_protection(addr, &data);
+                self.record_protection(addr, &data, 0);
                 if attempt > 0 {
                     self.stats.reliability.corrected_errors += 1;
                 }
@@ -1040,7 +1046,7 @@ impl MainMemory {
                 self.stats.reliability.detected_errors += 1;
             }
             if attempt >= self.config.reliability.max_write_retries {
-                self.record_protection(addr, &data);
+                self.record_protection(addr, &data, bad);
                 self.stats.reliability.uncorrectable_errors += 1;
                 return Err(MemError::UncorrectableWrite {
                     addr,

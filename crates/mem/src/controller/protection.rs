@@ -1,11 +1,24 @@
-//! Read-path protection: the SEC-DED check-byte store and its costs.
+//! Read-path protection: the SEC-DED check, escape accounting and ECC
+//! charges.
 //!
-//! Under [`ProtectionMode::SecDed`] every write stores the check bytes of
-//! the *intended* data, and every single-row read syndrome-checks the
-//! sensed words against them: single-bit errors are corrected in place,
-//! double-bit errors go to the retry ladder. Wrong bits a read accepts are
-//! charged to the silent-corruption ledger, and the encoder and checker
-//! are charged their time and energy.
+//! Under [`ProtectionMode::SecDed`] every single-row read syndrome-checks
+//! the sensed words against the check bytes of the *intended* data:
+//! single-bit errors are corrected in place, double-bit errors go to the
+//! retry ladder. Wrong bits a read accepts are charged to the
+//! silent-corruption ledger, and the encoder and checker are charged
+//! their time and energy on every write and read.
+//!
+//! The check bytes themselves are never stored. They are a function of
+//! the intended words, and for almost every row the intended data is the
+//! stored row: a write that left every cell as driven stores exactly
+//! what it was asked to. Only a write that left cells differing from the
+//! data (an unverified store or poke with wrong bits, or a write that ran
+//! out of retries) keeps the intended image, in `MainMemory::protect`. A
+//! read compares each sensed word with its intended word and decodes only
+//! the words that differ, against `secded::encode` of the intended word:
+//! an equal word decodes clean (`encode(w) ^ encode(w) == 0`), so this
+//! gives exactly the verdicts and corrections of decoding every word
+//! against stored check bytes.
 
 use super::{MainMemory, ProtectionMode};
 use crate::address::RowAddr;
@@ -33,11 +46,12 @@ enum SecdedScan {
 
 impl MainMemory {
     /// The SEC-DED read path: syndrome-check (and correct) the sensed
-    /// data against the row's stored check bytes. Single-bit-per-word
-    /// errors are fixed in place without any retry-ladder involvement; a
-    /// double-bit word sends the whole read through the re-calibrated
-    /// retry loop (a *transient* double may sense clean next time), and
-    /// only a persistently uncorrectable row surfaces as an error.
+    /// data against the check bytes of the row's intended data.
+    /// Single-bit-per-word errors are fixed in place without any
+    /// retry-ladder involvement; a double-bit word sends the whole read
+    /// through the re-calibrated retry loop (a *transient* double may
+    /// sense clean next time), and only a persistently uncorrectable row
+    /// surfaces as an error.
     pub(super) fn secded_read(
         &mut self,
         addr: RowAddr,
@@ -102,20 +116,6 @@ impl MainMemory {
         self.stats.reliability.silent_wrong_bits += out.count_diff(truth) - repaired;
     }
 
-    /// Refills `out` with one packed SEC-DED check byte per 64-bit data
-    /// word, reusing its allocation: word `i`'s byte sits at byte `i % 8`
-    /// of metadata word `i / 8`.
-    fn secded_check_bytes(data: &RowData, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(data.as_words().chunks(8).map(|chunk| {
-            let mut bytes = [0u8; 8];
-            for (byte, &w) in bytes.iter_mut().zip(chunk) {
-                *byte = crate::secded::encode(w);
-            }
-            u64::from_le_bytes(bytes)
-        }));
-    }
-
     /// Accounts the wrong bits an unverified (or verify-accepted-anyway)
     /// store left behind, by modeling what a later noise-free read would
     /// accept. With no protection every bad bit is silent. With SEC-DED,
@@ -161,20 +161,31 @@ impl MainMemory {
         Some(wrong)
     }
 
-    /// Stores the protection metadata of the *intended* data alongside a
-    /// write (SEC-DED check bytes, see [`ProtectionMode`]), so a later
-    /// read of cells that silently failed to program sees a syndrome. The
-    /// metadata array itself is modeled as reliable (a real design would
-    /// protect it with stronger coding).
-    pub(super) fn record_protection(&mut self, addr: RowAddr, data: &RowData) {
-        match self.config.reliability.protection {
-            ProtectionMode::None => {}
-            ProtectionMode::SecDed => {
-                self.dirty.protect.insert(addr);
-                let (len_bits, meta) = self.protect.entry(addr).or_default();
-                *len_bits = data.len_bits();
-                Self::secded_check_bytes(data, meta);
-            }
+    /// Records what a write that left `bad` cells differing from the
+    /// intended `data` means for later checks, after the write has
+    /// stored its cells. A write with wrong bits keeps `data` as the
+    /// row's intended image, so a later read of the cells that silently
+    /// failed to program sees a syndrome. A clean write stored exactly
+    /// `data`, which is then the intended image itself: it only drops an
+    /// image an earlier write kept. Nothing is encoded here (the modeled
+    /// encoder is charged by the write), and the kept images are modeled
+    /// as reliable, as a real design would protect its check-bit store
+    /// with stronger coding.
+    pub(super) fn record_protection(&mut self, addr: RowAddr, data: &RowData, bad: u64) {
+        if self.config.reliability.protection == ProtectionMode::None {
+            return;
+        }
+        if bad > 0 {
+            self.protect.insert(addr, data.clone());
+            self.dirty.protect.insert(addr);
+            return;
+        }
+        debug_assert!(
+            self.peek_row(addr) == Some(data),
+            "a row kept without an intended image must hold exactly the bits just written"
+        );
+        if self.protect.remove(&addr).is_some() {
+            self.dirty.protect.insert(addr);
         }
     }
 
@@ -191,26 +202,31 @@ impl MainMemory {
     }
 
     /// Syndrome-checks (and corrects) sensed data in place against the
-    /// row's stored SEC-DED check bytes. Any word decoding as a
+    /// check bytes of the row's intended data: its kept image if a write
+    /// left wrong bits, else the stored row. Only sensed words that differ
+    /// from their intended word are decoded, against `secded::encode` of
+    /// that word; an equal word decodes clean. Any word decoding as a
     /// double-bit error fails the whole row — corrections applied to
     /// earlier words are irrelevant then, the caller discards the buffer
-    /// and re-senses. Rows never written have no metadata and pass
-    /// vacuously. A corrected bit beyond the sensed width (only reachable
-    /// through a ≥3-flip miscorrection naming a zero-padded tail column)
-    /// is a no-op on the nonexistent column, exactly as the hardware's
-    /// column mux would treat it.
+    /// and re-senses. Rows never written pass vacuously. A corrected bit
+    /// beyond the sensed width (only reachable through a ≥3-flip
+    /// miscorrection naming a zero-padded tail column) is a no-op on the
+    /// nonexistent column, exactly as the hardware's column mux would
+    /// treat it.
     fn secded_scan(&self, addr: RowAddr, data: &mut RowData) -> SecdedScan {
-        let Some((stored_bits, check_bytes)) = self.protect.get(&addr) else {
+        let Some(intended) = self.protect.get(&addr).or_else(|| self.peek_row(addr)) else {
             return SecdedScan::Clean;
         };
         let cols = data.len_bits();
-        let checkable = Self::checkable_words(*stored_bits, cols) as usize;
+        let checkable = Self::checkable_words(intended.len_bits(), cols) as usize;
         let mut bits = 0u64;
         let mut corrected = Vec::new();
-        let words = data.as_words_mut();
-        for (w, word) in words.iter_mut().enumerate().take(checkable) {
-            let check = (check_bytes.get(w / 8).copied().unwrap_or(0) >> ((w % 8) * 8)) as u8;
-            match crate::secded::decode(*word, check) {
+        let words = data.as_words_mut().iter_mut().zip(intended.as_words());
+        for (w, (word, &want)) in words.enumerate().take(checkable) {
+            if *word == want {
+                continue;
+            }
+            match crate::secded::decode(*word, crate::secded::encode(want)) {
                 crate::secded::Decode::Clean => {}
                 crate::secded::Decode::Double => return SecdedScan::Double,
                 crate::secded::Decode::Single(bit) => {

@@ -1,4 +1,5 @@
 use super::*;
+use crate::stats::ReliabilityStats;
 use pinatubo_nvm::NvmError;
 
 fn mem() -> MainMemory {
@@ -641,45 +642,261 @@ fn secded_flags_unverified_bad_writes_on_read() {
     assert!(r.is_consistent(), "{r:?}");
 }
 
-/// The packed check-byte layout, built independently of the controller:
-/// word `i`'s byte at byte `i % 8` of metadata word `i / 8`.
-fn expected_check_bytes(data: &RowData) -> Vec<u64> {
-    let words = data.as_words();
-    let mut out = vec![0u64; words.len().div_ceil(8)];
-    for (i, &w) in words.iter().enumerate() {
-        out[i / 8] |= u64::from(crate::secded::encode(w)) << ((i % 8) * 8);
+/// Cells stuck at 0 or at 1 (5 % each) and nothing else injected: a write
+/// leaves wrong bits exactly where its image disagrees with a stuck cell,
+/// and a sense returns the stored cells.
+fn stuck_model() -> FaultModel {
+    FaultModel::with_seed(0x57AC).with_stuck_at(0.05, 0.05)
+}
+
+/// [`ReliabilityConfig::protected_secded`] with writes left unverified, so
+/// a write's wrong bits stay in the array.
+fn unverified_secded() -> ReliabilityConfig {
+    let mut cfg = ReliabilityConfig::protected_secded();
+    cfg.verify_writes = false;
+    cfg
+}
+
+/// A random `bits`-wide image for `at` that agrees with every stuck cell
+/// of the row, so writing it leaves no wrong bit, and those stuck sites.
+fn clean_image(
+    m: &MainMemory,
+    at: RowAddr,
+    bits: u64,
+    rng: &mut pinatubo_nvm::rng::SimRng,
+) -> (RowData, Vec<(u64, bool)>) {
+    let key = at.to_linear(m.geometry());
+    let sites = m.config().fault_model.row_fault_sites(key, 1, bits);
+    let mut image: RowData = (0..bits).map(|_| rng.gen_bit()).collect();
+    for &(bit, held) in &sites {
+        image.set(bit, held);
     }
-    out
+    (image, sites)
 }
 
 #[test]
-fn secded_check_bytes_keep_their_layout_when_a_row_is_rewritten_shorter() {
-    let mut m = faulty_mem(benign_model(), ReliabilityConfig::protected_secded());
+fn only_writes_that_leave_wrong_bits_keep_their_intended_image() {
+    let mut parent = faulty_mem(stuck_model(), unverified_secded());
     let mut rng = pinatubo_nvm::rng::SimRng::seed_from_u64(0xC4EC);
-    let mut image = |bits: u64| -> RowData { (0..bits).map(|_| rng.gen_bit()).collect() };
-    // 2^12 + 69 bits: 66 data words, so the last metadata word holds two
-    // check bytes and six zero bytes.
-    let long = image((1 << 12) + 69);
-    m.write_row_local(addr(0, 0), long.clone())
-        .expect("write lands");
-    let (len_bits, meta) = &m.protect[&addr(0, 0)];
-    assert_eq!(*len_bits, long.len_bits());
-    assert_eq!(meta.len(), 9);
-    for (i, &w) in long.as_words().iter().enumerate() {
-        let byte = meta[i / 8].to_le_bytes()[i % 8];
-        assert_eq!(byte, crate::secded::encode(w), "data word {i}");
-    }
-    assert_eq!(meta, &expected_check_bytes(&long));
+    let row = ch_addr(1, 0, 0);
 
-    // A shorter image refills the same row's metadata: exactly its own
-    // words remain, as a freshly allocated buffer would hold.
-    let short = image(64 * 10 + 5);
-    m.write_row_local(addr(0, 0), short.clone())
+    // A clean write keeps no entry.
+    let (clean, _) = clean_image(&parent, ch_addr(1, 0, 1), 1000, &mut rng);
+    parent
+        .write_row_local(ch_addr(1, 0, 1), clean.clone())
         .expect("write lands");
-    let (len_bits, meta) = &m.protect[&addr(0, 0)];
-    assert_eq!(*len_bits, short.len_bits());
-    assert_eq!(meta, &expected_check_bytes(&short));
-    assert_eq!(meta.len(), 2);
+    assert_eq!(parent.peek_row(ch_addr(1, 0, 1)), Some(&clean));
+    assert!(parent.protect.is_empty(), "a clean write keeps no image");
+
+    // In a channel shard, a write that leaves wrong bits keeps the
+    // intended image at its own length (2^12 + 69 bits, a partial last
+    // word), and the sync ships it.
+    let mut shard = parent.clone_channel(1);
+    let long: RowData = (0..(1u64 << 12) + 69).map(|_| rng.gen_bit()).collect();
+    shard
+        .write_row_local(row, long.clone())
+        .expect("unverified write lands");
+    let stored = shard.peek_row(row).expect("stored");
+    assert!(stored.count_diff(&long) > 0, "stuck cells must bite");
+    assert_eq!(stored.len_bits(), long.len_bits());
+    assert_eq!(shard.protect.get(&row), Some(&long));
+    assert_eq!(shard.protect.len(), 1);
+    sync_back(&mut parent, &mut shard);
+    assert_eq!(parent.protect.get(&row), Some(&long));
+    assert_eq!(parent.channel_digest(1), shard.channel_digest(1));
+
+    // A shorter clean rewrite drops the image, and the drop ships as a
+    // removal: the entry is gone on both sides and they digest equal.
+    let (short, _) = clean_image(&shard, row, 64 * 10 + 5, &mut rng);
+    shard
+        .write_row_local(row, short.clone())
+        .expect("write lands");
+    assert_eq!(shard.peek_row(row), Some(&short));
+    assert!(shard.protect.is_empty(), "a clean rewrite drops the image");
+    sync_back(&mut parent, &mut shard);
+    assert!(parent.protect.is_empty(), "the removal ships to the parent");
+    assert_eq!(parent.peek_row(row), Some(&short));
+    assert_eq!(parent.channel_digest(1), shard.channel_digest(1));
+}
+
+/// The full-row oracle of one SEC-DED check: decodes *every* checkable
+/// word of `sensed` with the per-bit reference codec against the check
+/// bytes of `intended`, correcting single-bit words in place. `None` on a
+/// double-bit word, else the corrected row, the data bits flipped back and
+/// the corrected word indices.
+fn reference_scan(intended: &RowData, mut sensed: RowData) -> Option<(RowData, u64, Vec<usize>)> {
+    use crate::secded::{decode_reference, encode_reference, Decode};
+    let cols = sensed.len_bits();
+    let stored = intended.len_bits();
+    let checkable = if cols >= stored {
+        stored.div_ceil(64)
+    } else {
+        cols / 64
+    };
+    let mut bits = 0;
+    let mut words = Vec::new();
+    for w in 0..checkable as usize {
+        let word = &mut sensed.as_words_mut()[w];
+        match decode_reference(*word, encode_reference(intended.as_words()[w])) {
+            Decode::Clean => {}
+            Decode::Double => return None,
+            Decode::Single(bit) => {
+                if let Some(bit) = bit {
+                    if w as u64 * 64 + u64::from(bit) < cols {
+                        *word ^= 1 << bit;
+                        bits += 1;
+                    }
+                }
+                words.push(w);
+            }
+        }
+    }
+    Some((sensed, bits, words))
+}
+
+/// The accepted row (`None` for an uncorrectable read) and the reliability
+/// ledger of one SEC-DED read of `sensed`, by [`reference_scan`]: a
+/// corrected read counts one detected and corrected error, a double-bit
+/// read re-senses up to `retries` times (each re-sense returns
+/// `resensed`), and the wrong bits of the accepted row outside its
+/// corrected words are silent.
+fn reference_read(
+    intended: &RowData,
+    truth: &RowData,
+    sensed: RowData,
+    resensed: &RowData,
+    retries: u32,
+) -> (Option<RowData>, ReliabilityStats) {
+    let mut r = ReliabilityStats::default();
+    let accept = |r: &mut ReliabilityStats, (out, bits, words): (RowData, u64, Vec<usize>)| {
+        let mut wrong = out.clone();
+        wrong.xor_assign(truth);
+        let repaired: u64 = words
+            .iter()
+            .map(|&w| u64::from(wrong.as_words()[w].count_ones()))
+            .sum();
+        r.ecc_corrected_bits += bits;
+        r.silent_wrong_bits += wrong.count_ones() - repaired;
+        Some(out)
+    };
+    if let Some(scan) = reference_scan(intended, sensed) {
+        if !scan.2.is_empty() {
+            r.detected_errors += 1;
+            r.corrected_errors += 1;
+        }
+        let out = accept(&mut r, scan);
+        return (out, r);
+    }
+    r.detected_errors += 1;
+    r.ecc_detected_double += 1;
+    for _ in 0..retries {
+        r.sense_retries += 1;
+        r.physical_senses += 1;
+        r.injected_bit_errors += resensed.count_diff(truth);
+        if let Some(scan) = reference_scan(intended, resensed.clone()) {
+            r.corrected_errors += 1;
+            let out = accept(&mut r, scan);
+            return (out, r);
+        }
+    }
+    r.uncorrectable_errors += 1;
+    (None, r)
+}
+
+#[test]
+fn secded_scan_matches_a_full_row_reference_scan() {
+    let mut m = faulty_mem(stuck_model(), unverified_secded());
+    let mut rng = pinatubo_nvm::rng::SimRng::seed_from_u64(0xD1FF);
+    // Ten words, the last one partial.
+    let width = 64 * 9 + 37;
+    let retries = m.config().reliability.max_sense_retries;
+    let rows: Vec<RowAddr> = (0..4).map(|r| addr(0, r)).collect();
+    let mut clean = Vec::new();
+    let mut intended = Vec::new();
+    for (k, &at) in rows.iter().enumerate() {
+        let (image, sites) = clean_image(&m, at, width, &mut rng);
+        // Row k leaves k wrong bits in one word: its image disagrees
+        // with k stuck cells of the word holding the most of them.
+        let mut want = image.clone();
+        let word = (0..10)
+            .max_by_key(|&w| sites.iter().filter(|&&(b, _)| b / 64 == w).count())
+            .expect("ten words");
+        let in_word: Vec<u64> = sites
+            .iter()
+            .filter(|&&(b, _)| b / 64 == word)
+            .map(|&(b, _)| b)
+            .collect();
+        assert!(in_word.len() >= 3, "row {k}: {} stuck cells", in_word.len());
+        for &bit in &in_word[..k] {
+            want.set(bit, !want.get(bit));
+        }
+        m.write_row_local(at, want.clone())
+            .expect("unverified write lands");
+        let stored = m.peek_row(at).expect("stored");
+        assert_eq!(stored.count_diff(&want), k as u64);
+        assert_eq!(m.protect.contains_key(&at), k > 0);
+        clean.push(image);
+        intended.push(want);
+    }
+
+    // Flip patterns: none, one bit in word 0, two in word 1, three in
+    // word 2, a single flip in the stored tail's last word and one past the
+    // stored width (only sensed by the wider read).
+    let patterns: [&[u64]; 6] = [
+        &[],
+        &[5],
+        &[64 + 3, 64 + 40],
+        &[128, 128 + 17, 128 + 63],
+        &[9 * 64 + 2],
+        &[width + 11],
+    ];
+    let mut verdicts = [0u32; 3];
+    for pass in ["as written", "rewritten clean"] {
+        for (k, &at) in rows.iter().enumerate() {
+            for cols in [width - 70, width, width + 100] {
+                for flips in patterns {
+                    let truth = m.load(at, cols);
+                    // A re-sense reads every stuck cell below `cols`,
+                    // past the stored width too.
+                    let key = at.to_linear(m.geometry());
+                    let mut resensed = truth.clone();
+                    for (bit, held) in stuck_model().row_fault_sites(key, 1, cols) {
+                        resensed.set(bit, held);
+                    }
+                    let mut sensed = truth.clone();
+                    for &bit in flips.iter().filter(|&&b| b < cols) {
+                        sensed.set(bit, !sensed.get(bit));
+                    }
+                    let before = m.stats().reliability;
+                    let got = m.secded_read(at, cols, sensed.clone(), &truth).ok();
+                    let ledger = m.stats().reliability - before;
+                    let (want, want_ledger) =
+                        reference_read(&intended[k], &truth, sensed, &resensed, retries);
+                    let case = format!("{pass}, row {k}, cols {cols}, flips {flips:?}");
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(ledger, want_ledger, "{case}");
+                    let verdict = if want_ledger.ecc_detected_double > 0 {
+                        2
+                    } else {
+                        usize::from(want_ledger.detected_errors > 0)
+                    };
+                    verdicts[verdict] += 1;
+                }
+            }
+        }
+        // Rewrite every row clean: each kept image is dropped, and the
+        // stored row is the intended data again.
+        for (k, &at) in rows.iter().enumerate() {
+            m.write_row_local(at, clean[k].clone())
+                .expect("clean write lands");
+            intended[k] = clean[k].clone();
+        }
+        assert!(m.protect.is_empty());
+    }
+    assert!(
+        verdicts.iter().all(|&n| n > 0),
+        "clean, corrected and double reads all covered: {verdicts:?}"
+    );
 }
 
 #[test]

@@ -96,8 +96,8 @@ pub enum MemError {
         bad_bits: u64,
     },
     /// A protected read kept decoding as an uncorrectable double-bit error
-    /// against the row's stored SEC-DED check bytes after exhausting its
-    /// retry budget.
+    /// against the SEC-DED check bytes of the row's intended data after
+    /// exhausting its retry budget.
     UncorrectableRead {
         /// The row whose protection check never accepted a sense.
         addr: RowAddr,
