@@ -20,6 +20,7 @@
 //! harnesses.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bfs;
 pub mod database;

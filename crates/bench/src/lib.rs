@@ -30,6 +30,7 @@
 //! asserts the pinned recovery-ladder scenario.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod parity;
 pub mod protection;

@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod classify;
 pub mod config;

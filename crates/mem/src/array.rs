@@ -2,9 +2,13 @@
 //!
 //! The circuit layer reasons about single cells; the architecture layer
 //! needs whole 2^19-bit rows. [`RowData`] packs bits into `u64` words so
-//! the functional part of a bulk operation is a word-wise loop. Its
-//! equivalence with per-cell sensing is pinned by cross-checking tests in
-//! the controller module.
+//! the functional part of a bulk operation is a word-wise loop: the
+//! controller builds a multi-row sense in one blocked pass over the stored
+//! words, and a popcount uses the host's AVX2 and POPCNT instructions
+//! where it has them (detected at run time). Cross-checking tests in the
+//! controller module pin the word-wise results against per-cell sensing
+//! and a per-bit combine; a test here pins both popcount paths against a
+//! per-bit count.
 
 use std::fmt;
 
@@ -160,7 +164,7 @@ impl RowData {
     /// Population count.
     #[must_use]
     pub fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+        popcount(&self.words)
     }
 
     /// Population count of the first `n` bits (the row zero-extended if
@@ -172,10 +176,7 @@ impl RowData {
             return self.count_ones();
         }
         let full = (n / 64) as usize;
-        let mut out: u64 = self.words[..full]
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
+        let mut out = popcount(&self.words[..full]);
         if n % 64 != 0 {
             let mask = (1u64 << (n % 64)) - 1;
             out += u64::from((self.words[full] & mask).count_ones());
@@ -259,6 +260,46 @@ impl RowData {
             }
         }
     }
+}
+
+/// The population count of a word slice, through the host's AVX2 and
+/// POPCNT instructions where it has both, else the portable loop. The
+/// features are detected at run time, so a build for the default target
+/// still uses them.
+fn popcount(words: &[u64]) -> u64 {
+    popcount_simd(words).unwrap_or_else(|| popcount_portable(words))
+}
+
+/// The portable word-wise population count. Always inlined, so that the
+/// copy in [`popcount_simd`] compiles the loop for the features it
+/// enables.
+#[inline(always)]
+fn popcount_portable(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// [`popcount_portable`] compiled for AVX2 and POPCNT, or `None` where the
+/// host lacks either. The crate's one `unsafe` block is the call here.
+#[allow(unsafe_code)]
+fn popcount_simd(words: &[u64]) -> Option<u64> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// # Safety
+        ///
+        /// The host must support AVX2 and POPCNT.
+        #[target_feature(enable = "avx2,popcnt")]
+        unsafe fn avx2_popcnt(words: &[u64]) -> u64 {
+            popcount_portable(words)
+        }
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
+            // SAFETY: `avx2_popcnt` needs only the two target features it
+            // enables, and the host was just checked to have both.
+            return Some(unsafe { avx2_popcnt(words) });
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = words;
+    None
 }
 
 impl fmt::Debug for RowData {
@@ -446,6 +487,26 @@ mod tests {
                 .count() as u64;
             assert_eq!(a.count_diff(&b), per_bit, "lengths {la}/{lb}");
             assert_eq!(b.count_diff(&a), per_bit, "lengths {lb}/{la}");
+        }
+    }
+
+    #[test]
+    fn popcount_paths_match_a_per_bit_count() {
+        let mut rng = pinatubo_nvm::rng::SimRng::seed_from_u64(0x9C0B);
+        for len in (0..=300).chain([1 << 19]) {
+            let row: RowData = (0..len).map(|_| rng.gen_bit()).collect();
+            let per_bit = (0..len).filter(|&i| row.get(i)).count() as u64;
+            assert_eq!(row.count_ones(), per_bit, "{len} bits");
+            assert_eq!(popcount_portable(row.as_words()), per_bit, "{len} bits");
+            // Both paths directly, where the host has the features.
+            if let Some(simd) = popcount_simd(row.as_words()) {
+                assert_eq!(simd, per_bit, "{len} bits");
+            }
+        }
+        let row: RowData = (0..200).map(|_| rng.gen_bit()).collect();
+        for n in 0..=200 {
+            let per_bit = (0..n).filter(|&i| row.get(i)).count() as u64;
+            assert_eq!(row.count_ones_prefix(n), per_bit, "prefix {n}");
         }
     }
 

@@ -45,6 +45,10 @@ use pinatubo_nvm::write_driver::WriteSource;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
+/// Words per block of the functional combine (1 KB): the block and each
+/// operand's slice of it stay in L1 while every operand folds in.
+const COMBINE_BLOCK_WORDS: usize = 128;
+
 /// Which analysis bounds the widest OR the protected sense path will issue
 /// in a single multi-row activation. Wider requests are split into chunks
 /// of at most this many rows and merged digitally in the row buffer.
@@ -980,25 +984,46 @@ impl MainMemory {
     }
 
     /// Word-wise combine over the operand rows — the functional ground
-    /// truth of a multi-row sense. Only the accumulator is materialized;
-    /// the remaining operands combine straight from their stored rows
-    /// (whose tails are always masked, so rows wider than `cols` cannot
-    /// leak bits past the accumulator's own tail mask and rows narrower
-    /// than `cols` behave exactly like their zero-extension).
+    /// truth of a multi-row sense, built in one blocked pass. Each
+    /// operand's stored words are looked up once; the output grows a
+    /// block of [`COMBINE_BLOCK_WORDS`] at a time: the first operand's
+    /// words (zero-extended past a shorter row, cut at `cols` for a wider
+    /// one), then every further operand ORed or ANDed in while the block
+    /// sits in L1 (an AND also zeroes what an absent or shorter row does
+    /// not cover), and the tail is masked once at the end. Each operand
+    /// row is read once and the output written once, and stored tails are
+    /// always masked, so the bits equal a fold over the zero-extended rows.
     fn functional_combine(&self, operands: &[RowAddr], mode: SenseMode, cols: u64) -> RowData {
-        let (&first, rest) = operands.split_first().expect("operands are non-empty");
-        let mut out = self.load(first, cols);
-        for &other in rest {
-            match (self.peek_row(other), mode) {
-                (_, SenseMode::Read) => {}
-                (Some(row), SenseMode::Or { .. }) => out.or_assign(row),
-                (Some(row), SenseMode::And) => out.and_assign(row),
-                (None, SenseMode::Or { .. }) => {}
-                // An absent row reads as zeros, which annihilates an AND.
-                (None, SenseMode::And) => out = RowData::zeros(cols),
+        let rows: Vec<&[u64]> = operands
+            .iter()
+            .map(|&addr| self.peek_row(addr).map_or(&[][..], RowData::as_words))
+            .collect();
+        let (first, rest) = rows.split_first().expect("operands are non-empty");
+        /// The words of `row` inside `start..end`, empty past its end.
+        fn clip(row: &[u64], start: usize, end: usize) -> &[u64] {
+            &row[start.min(row.len())..end.min(row.len())]
+        }
+        let len = cols.div_ceil(64) as usize;
+        let mut out = Vec::with_capacity(len);
+        for start in (0..len).step_by(COMBINE_BLOCK_WORDS) {
+            let end = (start + COMBINE_BLOCK_WORDS).min(len);
+            out.extend_from_slice(clip(first, start, end));
+            out.resize(end, 0);
+            let block = &mut out[start..end];
+            for row in rest {
+                let words = clip(row, start, end);
+                match mode {
+                    SenseMode::Read => {}
+                    SenseMode::Or { .. } => block.iter_mut().zip(words).for_each(|(a, b)| *a |= b),
+                    SenseMode::And => {
+                        block.iter_mut().zip(words).for_each(|(a, b)| *a &= b);
+                        // An absent or shorter row reads as zeros there.
+                        block[words.len()..].fill(0);
+                    }
+                }
             }
         }
-        out
+        RowData::from_words(out, cols)
     }
 
     /// One charged write, with program-and-verify when faults and

@@ -62,6 +62,82 @@ fn multi_row_or_accumulates_128_rows() {
     assert_eq!(m.stats().events.multi_activates, 1);
 }
 
+/// The blocked functional combine equals a per-bit fold over the operand
+/// rows read back with `peek_row` (zero-extended, cut at `cols`): Read,
+/// OR at fan-ins 2–17 and 128 with a repeated operand, and AND, at widths
+/// on both sides of a word and of a combine block, over rows stored
+/// narrower than `cols`, as wide, wider, or never written.
+#[test]
+fn combine_matches_a_per_bit_reference() {
+    let row_bits = MemGeometry::pcm_default().logical_row_bits();
+    let block_bits = 64 * COMBINE_BLOCK_WORDS as u64;
+    let mut rng = pinatubo_nvm::rng::SimRng::seed_from_u64(0xB10C);
+    for cols in [1, 63, 64, 65, block_bits - 64, block_bits + 64, row_bits] {
+        // Row r is stored narrower than `cols` (r % 4 == 0), as wide (1),
+        // wider (2, where a row can be) or never written (3), one bit in
+        // four set so that wide ORs keep zeros.
+        let mut m = mem();
+        for r in 0..132u32 {
+            let len = match r % 4 {
+                0 => rng.gen_range_u64(0, cols),
+                1 => cols,
+                2 if cols < row_bits => rng.gen_range_u64(cols + 1, row_bits + 1),
+                2 => cols,
+                _ => continue,
+            };
+            let words = (0..len.div_ceil(64))
+                .map(|_| rng.next_u64() & rng.next_u64())
+                .collect();
+            m.poke_row(addr(0, r), &RowData::from_words(words, len))
+                .expect("poke");
+        }
+        let bits: Vec<Vec<bool>> = (0..132)
+            .map(|r| {
+                let row = m.peek_row(addr(0, r));
+                (0..cols)
+                    .map(|i| row.is_some_and(|row| i < row.len_bits() && row.get(i)))
+                    .collect()
+            })
+            .collect();
+        let mut check = |rows: &[u32], mode: SenseMode, want: &[bool]| {
+            let operands: Vec<RowAddr> = rows.iter().map(|&r| addr(0, r)).collect();
+            let got = m
+                .multi_activate_sense(&operands, mode, cols)
+                .expect("fault-free sense");
+            assert!(
+                got == RowData::from_bits(want),
+                "{mode} of rows {rows:?} at {cols} bits"
+            );
+        };
+        // The first operand takes each storage class in turn.
+        for first in 0..4u32 {
+            // OR-k senses `rows[..k]`, whose fourth entry repeats the first.
+            let mut rows: Vec<u32> = (first..first + 128).collect();
+            rows[3] = first;
+            let mut want = bits[first as usize].clone();
+            check(&rows[..1], SenseMode::Read, &want);
+            for k in 2..=128 {
+                let next = &bits[rows[k - 1] as usize];
+                for (i, bit) in want.iter_mut().enumerate() {
+                    *bit |= next[i];
+                }
+                if k <= 17 || k == 128 {
+                    check(&rows[..k], SenseMode::or(k).expect("or"), &want);
+                }
+            }
+            // AND with a row of each class, and with itself.
+            for second in [first, 4, 5, 6, 7] {
+                let want: Vec<bool> = bits[first as usize]
+                    .iter()
+                    .zip(&bits[second as usize])
+                    .map(|(&a, &b)| a && b)
+                    .collect();
+                check(&[first, second], SenseMode::And, &want);
+            }
+        }
+    }
+}
+
 #[test]
 fn cross_subarray_activation_is_rejected() {
     let mut m = mem();

@@ -35,6 +35,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The crate's one `unsafe` block is the popcount dispatch in `array`,
+// allowed there and documented with a `// SAFETY:` comment (clippy checks).
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 pub mod address;
 pub mod array;

@@ -1043,11 +1043,11 @@ fn faulty_mem_secded() -> MemConfig {
     mem
 }
 
-/// Session-vs-serial parity holds with SEC-DED enabled: the ECC check
-/// bytes ship through `ChannelDelta` like every other protection
-/// metadata, so shard-side reads correct the same bits the serial run
-/// corrects and the merged ledgers (including `ecc_corrected_bits`)
-/// match exactly.
+/// Session-vs-serial parity holds with SEC-DED enabled: the kept intended
+/// image of every row a write left with wrong bits ships through
+/// `ChannelDelta` like every other protection metadata, so shard-side
+/// reads correct the same bits the serial run corrects and the merged
+/// ledgers (including `ecc_corrected_bits`) match exactly.
 #[test]
 fn secded_session_matches_serial() {
     for with_cross in [false, true] {
@@ -1082,7 +1082,8 @@ fn secded_session_matches_serial() {
 /// sync: rows stored in a cloned channel shard (with stuck-at corruption
 /// landing, write verification off) correct in the shard, and after
 /// `take_dirty_state`/`apply_delta` the *parent* corrects a row it never
-/// wrote — possible only if the check bytes shipped with the delta.
+/// wrote — possible only if the row's kept intended image shipped with
+/// the delta.
 #[test]
 fn secded_shard_correction_survives_apply_delta() {
     use pinatubo_mem::{MainMemory, ProtectionMode, RowAddr, RowData};
@@ -1134,7 +1135,7 @@ fn secded_shard_correction_survives_apply_delta() {
 
     // Second single-flip row, read for the first time in the parent: the
     // stored bits are corrupt and the parent never wrote the row, so the
-    // correction below can only come from the shipped check bytes.
+    // correction below can only come from the shipped intended image.
     let in_parent = singles[1];
     let corrected_before = parent.stats().reliability.ecc_corrected_bits;
     let got = parent
