@@ -60,7 +60,8 @@ impl PinatuboExecutor {
         }
     }
 
-    /// The wrapped engine (e.g. to inspect class counters after a trace).
+    /// The wrapped engine (e.g. to inspect its memory's statistics after a
+    /// trace).
     #[must_use]
     pub fn engine(&self) -> &PinatuboEngine {
         &self.engine
@@ -181,8 +182,11 @@ mod tests {
         let r_host = x.execute(&host);
         assert!(r_host.time_ns > r_intra.time_ns);
         assert!(r_host.energy_pj > r_intra.energy_pj);
-        assert!(x.engine().stats().host_fallback > 0);
-        assert!(x.engine().stats().intra_subarray > 0);
+        for class in [OpClass::IntraSubarray, OpClass::HostFallback] {
+            let (mut rows, dst) = x.placement(class, 4);
+            rows.push(dst);
+            assert_eq!(OpClass::classify(&rows), class);
+        }
     }
 
     #[test]

@@ -17,58 +17,6 @@ use crate::PimError;
 use pinatubo_mem::{MainMemory, MemConfig, MemError, MemStats, PimConfig, RowAddr, RowData};
 use pinatubo_nvm::sense_amp::SenseMode;
 use pinatubo_nvm::NvmError;
-use std::ops::{Add, AddAssign};
-
-/// Engine-level counters (on top of the memory's command statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineStats {
-    /// Bulk operations executed.
-    pub bulk_ops: u64,
-    /// Hardware primitives those decomposed into.
-    pub primitives: u64,
-    /// Primitives executed intra-subarray.
-    pub intra_subarray: u64,
-    /// Primitives executed at the global row buffer.
-    pub inter_subarray: u64,
-    /// Primitives executed at the I/O buffer.
-    pub inter_bank: u64,
-    /// Primitives that had to fall back to the host path.
-    pub host_fallback: u64,
-    /// Total operand rows consumed.
-    pub operand_rows: u64,
-}
-
-impl EngineStats {
-    fn count_class(&mut self, class: OpClass) {
-        match class {
-            OpClass::IntraSubarray => self.intra_subarray += 1,
-            OpClass::InterSubarray => self.inter_subarray += 1,
-            OpClass::InterBank => self.inter_bank += 1,
-            OpClass::HostFallback => self.host_fallback += 1,
-        }
-    }
-}
-
-impl Add for EngineStats {
-    type Output = EngineStats;
-    fn add(self, rhs: EngineStats) -> EngineStats {
-        EngineStats {
-            bulk_ops: self.bulk_ops + rhs.bulk_ops,
-            primitives: self.primitives + rhs.primitives,
-            intra_subarray: self.intra_subarray + rhs.intra_subarray,
-            inter_subarray: self.inter_subarray + rhs.inter_subarray,
-            inter_bank: self.inter_bank + rhs.inter_bank,
-            host_fallback: self.host_fallback + rhs.host_fallback,
-            operand_rows: self.operand_rows + rhs.operand_rows,
-        }
-    }
-}
-
-impl AddAssign for EngineStats {
-    fn add_assign(&mut self, rhs: EngineStats) {
-        *self = *self + rhs;
-    }
-}
 
 /// What one bulk operation cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +51,6 @@ impl OpOutcome {
 pub struct PinatuboEngine {
     mem: MainMemory,
     config: PinatuboConfig,
-    stats: EngineStats,
 }
 
 impl PinatuboEngine {
@@ -113,7 +60,6 @@ impl PinatuboEngine {
         PinatuboEngine {
             mem: MainMemory::new(mem_config),
             config,
-            stats: EngineStats::default(),
         }
     }
 
@@ -134,39 +80,21 @@ impl PinatuboEngine {
         &self.config
     }
 
-    /// Engine-level counters.
-    #[must_use]
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
     /// Clones a per-channel engine shard for an execution session (see
     /// [`MainMemory::clone_channel`]): the engine configuration is shared,
     /// this engine keeps a stale mirror of the channel and is brought up
     /// to date with [`pinatubo_mem::ChannelDelta`]s, and the shard's
-    /// counters start at zero.
+    /// memory statistics start at zero.
     ///
     /// # Panics
     ///
     /// Panics if `channel` is outside the memory geometry.
     #[must_use]
-    pub fn clone_channel(&mut self, channel: u32) -> PinatuboEngine {
+    pub fn clone_channel(&self, channel: u32) -> PinatuboEngine {
         PinatuboEngine {
             mem: self.mem.clone_channel(channel),
             config: self.config.clone(),
-            stats: EngineStats::default(),
         }
-    }
-
-    /// Resets the engine-level counters, returning the old tally — the
-    /// counterpart of [`MainMemory::take_stats`] for the delta-sync path.
-    pub fn take_engine_stats(&mut self) -> EngineStats {
-        std::mem::take(&mut self.stats)
-    }
-
-    /// Adds a shard's taken engine counters into this engine's tally.
-    pub fn merge_engine_stats(&mut self, stats: EngineStats) {
-        self.stats += stats;
     }
 
     /// Rows one analog OR sense may combine: the configured cap clipped by
@@ -238,7 +166,6 @@ impl PinatuboEngine {
             BitwiseOp::Not => {
                 // INV: the row leaves through the sense amp's inverting
                 // output on the class's path.
-                self.stats.count_class(class);
                 self.mem.set_pim_config(PimConfig::Inv);
                 self.transfer(class, operands[0], dst, cols, true)?;
                 1
@@ -246,7 +173,6 @@ impl PinatuboEngine {
             _ if class != OpClass::IntraSubarray => {
                 // Buffer-logic path: one streaming pass over all operands,
                 // one write-back, regardless of operand count.
-                self.stats.count_class(class);
                 self.buffered_combine(op.pim_config(), operands, dst, cols, class)?;
                 1
             }
@@ -279,7 +205,6 @@ impl PinatuboEngine {
                         // Two micro-steps: operand A sampled onto Ch,
                         // operand B into the latch; the add-on transistors
                         // output the XOR (Fig. 6).
-                        self.stats.count_class(OpClass::IntraSubarray);
                         self.mem.set_pim_config(PimConfig::Xor);
                         let mut sampled = self.mem.activate_read(a, cols)?;
                         let latched = self.mem.activate_read(b, cols)?;
@@ -292,9 +217,6 @@ impl PinatuboEngine {
             }
         };
 
-        self.stats.bulk_ops += 1;
-        self.stats.primitives += primitives;
-        self.stats.operand_rows += operands.len() as u64;
         let delta = subtract_stats(*self.mem.stats(), before);
         Ok(OpOutcome {
             class,
@@ -318,11 +240,7 @@ impl PinatuboEngine {
     ) -> Result<OpOutcome, PimError> {
         let before = *self.mem.stats();
         let class = OpClass::classify(&[src, dst]);
-        self.stats.count_class(class);
         self.transfer(class, src, dst, cols, false)?;
-        self.stats.bulk_ops += 1;
-        self.stats.primitives += 1;
-        self.stats.operand_rows += 1;
         Ok(OpOutcome {
             class,
             stats: subtract_stats(*self.mem.stats(), before),
@@ -400,7 +318,6 @@ impl PinatuboEngine {
         dst: RowAddr,
         cols: u64,
     ) -> Result<(), MemError> {
-        self.stats.count_class(OpClass::IntraSubarray);
         self.mem.set_pim_config(cfg);
         let mode = sense(rows.len())?;
         match self.mem.multi_activate_sense_protected(rows, mode, cols) {
@@ -506,7 +423,6 @@ mod tests {
             e.memory().peek_row(dst).expect("dst written").bits(3),
             reference(BitwiseOp::Or, &data)
         );
-        assert_eq!(e.stats().intra_subarray, 1);
     }
 
     #[test]
@@ -860,7 +776,6 @@ mod tests {
         assert!(r.is_consistent(), "ledger must close: {r:?}");
         assert_eq!(r.silent_wrong_bits, 0);
         assert_eq!(outcome.primitives, 3);
-        assert_eq!(e.stats().intra_subarray, 3);
         // Pinned fixed-seed snapshot of the ladder and its cost.
         assert_eq!(r.rmw_fallbacks, 3, "pinned: {r:?}");
         assert_eq!(r.sense_retries, 9, "pinned: {r:?}");
@@ -873,18 +788,5 @@ mod tests {
         };
         close("time_ns", outcome.time_ns(), 1_411.8);
         close("energy_pj", outcome.energy_pj(), 205_891.2);
-    }
-
-    #[test]
-    fn engine_counters_accumulate() {
-        let mut e = engine();
-        let rows = [addr(0, 0), addr(0, 1)];
-        e.bulk_op(BitwiseOp::Or, &rows, addr(0, 2), 4).expect("or");
-        e.bulk_op(BitwiseOp::And, &rows, addr(0, 3), 4)
-            .expect("and");
-        assert_eq!(e.stats().bulk_ops, 2);
-        assert_eq!(e.stats().primitives, 2);
-        assert_eq!(e.stats().intra_subarray, 2);
-        assert_eq!(e.stats().operand_rows, 4);
     }
 }

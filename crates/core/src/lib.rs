@@ -58,7 +58,7 @@ pub use pinatubo_nvm::rng;
 
 pub use classify::OpClass;
 pub use config::PinatuboConfig;
-pub use engine::{EngineStats, OpOutcome, PinatuboEngine};
+pub use engine::{OpOutcome, PinatuboEngine};
 pub use op::{ArithOp, BitwiseOp};
 pub use trace::{BulkOp, OpTrace};
 

@@ -25,11 +25,6 @@ pub(super) struct DirtyLog {
     pub(super) wear: HashSet<RowAddr>,
     pub(super) protect: HashSet<RowAddr>,
     pub(super) fault: HashSet<u32>,
-    /// Channels whose tRRD/tFAW activation history advanced. Shipped as
-    /// *relative* offsets (entry − local now) so receivers on a different
-    /// clock can re-anchor them — the scheduler's command-granularity
-    /// interleaving needs the window to survive a sync.
-    pub(super) acts: HashSet<u32>,
 }
 
 /// The state one channel's owner must ship to bring a stale mirror up to
@@ -52,12 +47,6 @@ pub struct ChannelDelta {
     /// `Some(image)` keeps a row's intended image, `None` drops it.
     protect: Vec<(RowAddr, Option<RowData>)>,
     fault: Option<FaultState>,
-    /// Per-rank activation issue times as *relative* offsets from the
-    /// sender's clock at drain time (entry − sender now, hence ≤ 0): the
-    /// receiver re-anchors them at its own clock, so tRRD/tFAW state
-    /// survives a sync without ever shipping an absolute timestamp
-    /// (ascending rank order for determinism).
-    pub(super) act_history: Vec<(u32, Vec<f64>)>,
 }
 
 impl ChannelDelta {
@@ -68,7 +57,6 @@ impl ChannelDelta {
             wear: Vec::new(),
             protect: Vec::new(),
             fault: None,
-            act_history: Vec::new(),
         }
     }
 
@@ -77,27 +65,6 @@ impl ChannelDelta {
     pub fn channel(&self) -> u32 {
         self.channel
     }
-
-    /// Whether the delta carries no state at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-            && self.wear.is_empty()
-            && self.protect.is_empty()
-            && self.fault.is_none()
-            && self.act_history.is_empty()
-    }
-}
-
-/// Moves the entries of `map` whose key matches `pred` into a new map.
-fn drain_matching<K, V>(map: &mut HashMap<K, V>, pred: impl Fn(&K) -> bool) -> HashMap<K, V>
-where
-    K: Eq + std::hash::Hash + Copy,
-{
-    let keys: Vec<K> = map.keys().filter(|k| pred(k)).copied().collect();
-    keys.into_iter()
-        .filter_map(|k| map.remove(&k).map(|v| (k, v)))
-        .collect()
 }
 
 /// Copies the entries of `map` whose key matches `pred` into a new map.
@@ -163,36 +130,23 @@ impl MainMemory {
     /// empty log — at the instant of cloning it is in sync with the
     /// parent, so its deltas need to carry only its own writes.
     ///
-    /// The channel's tRRD/tFAW activation history moves to the shard as
-    /// *relative* offsets (entry − parent now, hence ≤ 0) and is dropped
-    /// on this side — the shard is the channel's writer now, and its sync
-    /// deltas carry the advanced history back. The shard's clock starts
-    /// at zero, so relative offsets make it see the same "how long ago"
-    /// the serial stream would: absolute times would manufacture stalls,
-    /// and dropping the history would let the shard's first activation
-    /// dodge a window the serial stream still honours under tight
-    /// parameters. The shard starts with zeroed statistics and the
-    /// parent's current PIM mode. The parent's fault stream for the
-    /// channel is *retained* so channel-straddling requests on the
-    /// unified memory can keep drawing; the sync protocol replaces it with
-    /// the shard's advanced stream before any such draw.
+    /// The shard starts with zeroed statistics and the parent's current
+    /// PIM mode. Nothing it charges depends on its clock, so its taken
+    /// statistics add into the parent's as they are. The parent's fault
+    /// stream for the channel is *retained* so channel-straddling
+    /// requests on the unified memory can keep drawing; the sync protocol
+    /// replaces it with the shard's advanced stream before any such draw.
     ///
     /// # Panics
     ///
     /// Panics if `channel` is outside the geometry.
     #[must_use]
-    pub fn clone_channel(&mut self, channel: u32) -> MainMemory {
+    pub fn clone_channel(&self, channel: u32) -> MainMemory {
         self.assert_channel_in_geometry(channel);
         let mut shard = self.shard_skeleton();
         shard.rows = self.rows.share_channel(channel);
         shard.wear = clone_matching(&self.wear, |a| a.channel == channel);
         shard.protect = clone_matching(&self.protect, |a| a.channel == channel);
-        let now = self.stats.time_ns;
-        for (key, hist) in drain_matching(&mut self.act_history, |&(ch, _)| ch == channel) {
-            shard
-                .act_history
-                .insert(key, hist.iter().map(|&t| t - now).collect());
-        }
         if let Some(state) = self.fault.get(&channel) {
             shard.fault.insert(channel, state.clone());
         }
@@ -216,7 +170,6 @@ impl MainMemory {
             max_or_fan_in: self.max_or_fan_in,
             rows: PageTable::default(),
             wear: HashMap::new(),
-            act_history: HashMap::new(),
             fault: HashMap::new(),
             fault_sites: HashMap::new(),
             reliable_or_fan_in: self.reliable_or_fan_in,
@@ -270,20 +223,6 @@ impl MainMemory {
                 .or_insert_with(|| ChannelDelta::empty(channel))
                 .fault = self.fault.get(&channel).cloned();
         }
-        let now = self.stats.time_ns;
-        for channel in sorted_keys(dirty.acts) {
-            let hist: Vec<(u32, Vec<f64>)> =
-                sorted_matching(&self.act_history, |&(ch, _)| ch == channel)
-                    .into_iter()
-                    .map(|((_, rank), times)| (rank, times.iter().map(|&t| t - now).collect()))
-                    .collect();
-            if !hist.is_empty() {
-                by_channel
-                    .entry(channel)
-                    .or_insert_with(|| ChannelDelta::empty(channel))
-                    .act_history = hist;
-            }
-        }
         by_channel.into_values().collect()
     }
 
@@ -317,13 +256,6 @@ impl MainMemory {
         if let Some(state) = delta.fault {
             self.fault.insert(state.channel(), state);
         }
-        let now = self.stats.time_ns;
-        for (rank, rel) in delta.act_history {
-            self.act_history.insert(
-                (delta.channel, rank),
-                rel.iter().map(|&r| now + r).collect(),
-            );
-        }
     }
 
     /// Asserts the `detected == corrected + uncorrectable` reliability
@@ -344,17 +276,14 @@ impl MainMemory {
     }
 
     /// Adds a shard's taken statistics into this memory's ledgers,
-    /// advancing this memory's clock by the shard's elapsed time. Merge
-    /// before applying the same shard's [`ChannelDelta`]s, so its relative
-    /// activation history lands on the advanced clock.
+    /// advancing this memory's clock by the shard's elapsed time.
     pub fn merge_stats(&mut self, delta: MemStats) {
         self.stats += delta;
     }
 
     /// Order-independent digest of every piece of functional state
     /// `channel` owns (rows, wear, kept intended images, fault-stream
-    /// position; activation history is clock-scoped and deliberately
-    /// excluded). Two memories that digest equal respond identically to
+    /// position). Two memories that digest equal respond identically to
     /// any command on the channel. Used by the session sync's debug
     /// assertion that a dirty-state delta left parent and shard identical.
     #[must_use]

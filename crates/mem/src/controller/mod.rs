@@ -245,9 +245,6 @@ pub struct MainMemory {
     rows: PageTable,
     /// Charged writes per row, for endurance analysis.
     wear: HashMap<RowAddr, u64>,
-    /// Recent activation issue times per (channel, rank), oldest first
-    /// (at most four kept), for the tRRD/tFAW inter-activation gate.
-    act_history: HashMap<(u32, u32), Vec<f64>>,
     /// Fault-injection state, one sequential draw stream per channel
     /// (keyed by channel index) so channel shards consume deterministic,
     /// independent streams no matter how execution interleaves. Empty when
@@ -316,7 +313,6 @@ impl MainMemory {
             max_or_fan_in,
             rows: PageTable::default(),
             wear: HashMap::new(),
-            act_history: HashMap::new(),
             fault,
             fault_sites: HashMap::new(),
             reliable_or_fan_in,
@@ -346,10 +342,7 @@ impl MainMemory {
     }
 
     /// Resets the statistics (not the contents) and returns the old tally.
-    /// The activation history is cleared too — its issue times are on the
-    /// clock that just restarted at zero.
     pub fn take_stats(&mut self) -> MemStats {
-        self.act_history.clear();
         std::mem::take(&mut self.stats)
     }
 
@@ -596,33 +589,16 @@ impl MainMemory {
     }
 
     /// Charges one multi-row activation of `operands`, `cols` bits wide:
-    /// the tRRD/tFAW gate, activate, sense passes and precharge.
+    /// activate, sense passes and precharge. The serial stream spaces
+    /// activations by whole commands; the tRRD/tFAW windows bind only
+    /// where bank lanes overlap, and [`crate::ChannelTimeline`] enforces
+    /// them there.
     fn charge_activation(&mut self, operands: &[RowAddr], cols: u64) {
-        let first = operands[0];
         let g = &self.config.geometry;
         let passes = g.sense_passes(cols);
         let row_bits = g.logical_row_bits();
         let t = &self.config.timing;
         let e = &self.config.energy;
-        // tRRD/tFAW gate. The serial stream already spaces activations
-        // by a full command (≥ tRCD ≥ tRRD at both presets), so this
-        // only stalls under deliberately tight parameters; the batch
-        // scheduler applies the same gate where bank lanes overlap.
-        let history = self
-            .act_history
-            .entry((first.channel, first.rank))
-            .or_default();
-        let issue = t.earliest_activation_ns(history, self.stats.time_ns);
-        let stall = issue - self.stats.time_ns;
-        history.push(issue);
-        if history.len() > 4 {
-            history.remove(0);
-        }
-        self.dirty.acts.insert(first.channel);
-        if stall > 0.0 {
-            self.stats.time_ns += stall;
-            self.stats.time.stall_ns += stall;
-        }
         let act_ns = t.multi_activate_ns(operands.len());
         let sense_ns = passes as f64 * t.t_cl_ns;
         self.stats.time_ns += act_ns + sense_ns;

@@ -23,9 +23,10 @@
 //! issues them.
 //!
 //! Everything here is *relative time*: a timeline starts at zero and has
-//! no notion of the controller's absolute clock, the same clock-scoping
-//! rule channel shards follow for their activation history (see
-//! [`crate::MainMemory::clone_channel`]).
+//! no notion of the controller's absolute clock. The activation ledger is
+//! the simulator's one tRRD/tFAW gate: the serial controller
+//! ([`crate::MainMemory`]) charges commands back to back and never waits
+//! on an activation window.
 
 use crate::stats::TimeBreakdown;
 use pinatubo_nvm::timing::TimingParams;

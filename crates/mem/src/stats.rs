@@ -298,7 +298,11 @@ pub struct TimeBreakdown {
     pub gdl_ns: f64,
     /// Bit-line precharges (tRP).
     pub precharge_ns: f64,
-    /// Stalls inserted to honor tRRD/tFAW inter-activation constraints.
+    /// Waits on tRRD/tFAW activation windows. Nothing charges it: the
+    /// serial controller never waits on a window, and
+    /// [`crate::ChannelTimeline`] keeps its activation waits in its own
+    /// placements. Kept because the repository benchmark reports its share
+    /// as `mem.controller.time.stall_frac`.
     pub stall_ns: f64,
     /// SEC-DED syndrome/encode passes (zero unless
     /// `ProtectionMode::SecDed` is active). Bank-local: the XOR tree

@@ -36,19 +36,18 @@ pub struct TimingParams {
     /// Beats per burst (8 for DDR3).
     pub burst_beats: u32,
     /// Minimum gap between activations to *different banks* of one rank
-    /// (tRRD). Limits how tightly bank-parallel PIM requests can launch;
-    /// a serial command stream already spaces activations by ≥ tRCD, so
-    /// the constraint only binds when bank lanes overlap. The
-    /// command-interleaved channel model enforces it per ACT command —
-    /// each activation slots into the rank's ledger, possibly *between*
-    /// earlier requests' activations — not just once per request launch.
+    /// (tRRD). Limits how tightly bank-parallel PIM requests can launch.
+    /// Only the command-interleaved channel model enforces it, per ACT
+    /// command: each activation slots into the rank's ledger, possibly
+    /// *between* earlier requests' activations. The serial controller
+    /// charges no wait for it, whatever its value.
     pub t_rrd_ns: Nanos,
     /// Four-activation rolling window per rank (tFAW): any four
     /// activations to one rank must span at least this long, bounding the
-    /// rank's peak activation current draw. Like tRRD, checked at
-    /// command granularity when requests interleave: the window spans
-    /// activations from *all* requests on the rank, whatever order they
-    /// were dispatched in.
+    /// rank's peak activation current draw. Like tRRD, enforced only by
+    /// the command-interleaved channel model, at command granularity: the
+    /// window spans activations from *all* requests on the rank, whatever
+    /// order they were dispatched in.
     pub t_faw_ns: Nanos,
     /// One SEC-DED syndrome/encode pass through the per-bank ECC XOR
     /// tree (a few gate levels wide, pipelined with the column path —
@@ -138,22 +137,6 @@ impl TimingParams {
         assert!(rows > 0, "activation of zero rows is meaningless");
         self.t_rcd_ns + (rows - 1) as f64 * self.t_extra_act_ns
     }
-
-    /// Earliest time a new activation may issue on a rank, given the rank's
-    /// previous activation issue times (`history`, oldest first) and the
-    /// proposed issue time `now`: tRRD after the most recent activation and
-    /// tFAW after the fourth-most-recent one.
-    #[must_use]
-    pub fn earliest_activation_ns(&self, history: &[Nanos], now: Nanos) -> Nanos {
-        let mut earliest = now;
-        if let Some(&last) = history.last() {
-            earliest = earliest.max(last + self.t_rrd_ns);
-        }
-        if history.len() >= 4 {
-            earliest = earliest.max(history[history.len() - 4] + self.t_faw_ns);
-        }
-        earliest
-    }
 }
 
 #[cfg(test)]
@@ -209,33 +192,13 @@ mod tests {
     fn inter_activation_constraints_never_bind_a_serial_stream() {
         // A serial command stream spaces activations by at least one full
         // activate+sense+precharge, so tRRD/tFAW must be smaller than that
-        // for both presets — otherwise the no-stall accounting of the
-        // serial controller would be wrong.
+        // for both presets: the serial controller charges no activation
+        // wait, and only overlapped bank lanes can meet these windows.
         for t in [TimingParams::pcm_ddr3_1600(), TimingParams::ddr3_1600()] {
             let serial_gap = t.t_rcd_ns + t.t_cl_ns + t.t_rp_ns;
             assert!(t.t_rrd_ns > 0.0 && t.t_rrd_ns < serial_gap);
             assert!(t.t_faw_ns < 4.0 * serial_gap);
             assert!(t.t_faw_ns >= 2.0 * t.t_rrd_ns);
         }
-    }
-
-    #[test]
-    fn earliest_activation_applies_trrd_and_tfaw() {
-        let t = TimingParams::pcm_ddr3_1600();
-        // No history: issue immediately.
-        assert!((t.earliest_activation_ns(&[], 3.0) - 3.0).abs() < 1e-12);
-        // tRRD holds a back-to-back activation off.
-        let after_rrd = t.earliest_activation_ns(&[10.0], 10.0);
-        assert!((after_rrd - (10.0 + t.t_rrd_ns)).abs() < 1e-12);
-        // Far-future issue times are unaffected.
-        assert!((t.earliest_activation_ns(&[10.0], 1000.0) - 1000.0).abs() < 1e-12);
-        // Four activations in a burst: the fifth waits for the tFAW window
-        // opened by history[len-4].
-        let history = [0.0, 7.5, 15.0, 22.0];
-        let fifth = t.earliest_activation_ns(&history, 25.0);
-        assert!(
-            (fifth - (history[0] + t.t_faw_ns)).abs() < 1e-12,
-            "tFAW (not tRRD at 29.5 or `now` at 25) must gate the fifth ACT"
-        );
     }
 }

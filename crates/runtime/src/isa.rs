@@ -3,9 +3,10 @@
 //! The paper's driver library "issues extended instruction for PIM \[3\]",
 //! which the hardware control path translates into DDR commands plus
 //! mode-register writes (§5, Fig. 4). This module defines those
-//! instructions and a compact binary wire format, so the software stack
-//! can be exercised end-to-end: program → instructions → words → decoded
-//! instructions → engine execution.
+//! instructions and a compact binary wire format: row-granular
+//! instructions encode to words, the words decode back to instructions
+//! (rejecting truncated streams, unknown opcodes and out-of-range
+//! addresses), and a decoded stream executes on the engine.
 //!
 //! # Wire format
 //!
@@ -153,30 +154,6 @@ pub fn decode_stream(
         words = &words[consumed..];
     }
     Ok(out)
-}
-
-/// Lowers batch requests to the wire ISA: one instruction per row
-/// segment, in request order — how a compiled µ-program batch leaves the
-/// driver library. The serial instruction order respects the requests'
-/// read/write dependences by construction, so `execute_stream` on the
-/// result reproduces the batch's bits.
-#[must_use]
-pub fn instructions_for_requests(
-    requests: &[crate::scheduler::BatchRequest],
-    row_bits: u64,
-) -> Vec<PimInstruction> {
-    let mut out = Vec::new();
-    for request in requests {
-        for (i, dst_row, seg_bits) in request.dst.segments(row_bits) {
-            out.push(PimInstruction {
-                op: request.op,
-                operands: request.operands.iter().map(|v| v.rows()[i]).collect(),
-                dst: dst_row,
-                cols: seg_bits,
-            });
-        }
-    }
-    out
 }
 
 /// Executes a decoded stream on an engine, stopping at the first failure.

@@ -26,7 +26,6 @@
 //! ([`CompileOptions::unoptimized`]) on identical inputs.
 
 use crate::bitvec::PimBitVec;
-use crate::isa::PimInstruction;
 use crate::pool::ExecSession;
 use crate::scheduler::{BatchRequest, ScheduleReport};
 use crate::system::PimSystem;
@@ -745,13 +744,6 @@ impl CompiledBatch {
     /// See [`ExecSession::submit_batch`].
     pub fn submit(&self, session: &mut ExecSession<'_>) -> Result<Vec<usize>, RuntimeError> {
         session.submit_batch(&self.requests)
-    }
-
-    /// Lowers the batch to the wire ISA: one [`PimInstruction`] per row
-    /// segment, in request order.
-    #[must_use]
-    pub fn instructions(&self, row_bits: u64) -> Vec<PimInstruction> {
-        crate::isa::instructions_for_requests(&self.requests, row_bits)
     }
 
     /// Returns the scratch planes to the allocator (the destination

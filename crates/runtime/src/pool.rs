@@ -334,7 +334,7 @@ impl PimSystem {
             .map(|channel| {
                 Mutex::new(Shard {
                     channel,
-                    engine: self.engine_mut().clone_channel(channel),
+                    engine: self.engine().clone_channel(channel),
                     results: Vec::new(),
                     halted: false,
                     poisoned: None,
@@ -671,11 +671,6 @@ impl ExecSession<'_> {
                     Err(e) => self.note_err(pos, e),
                 }
             }
-            // The delta before the stats: taking the stats clears the
-            // activation history the delta ships relative to the shard's
-            // clock. Then merge the stats first: the delta re-anchors
-            // that history on the parent clock, which must already
-            // include the shard's elapsed time.
             let deltas = shard.engine.memory_mut().take_dirty_state();
             let stats = shard.engine.memory_mut().take_stats();
             let mem = self.system.engine_mut().memory_mut();
@@ -683,8 +678,6 @@ impl ExecSession<'_> {
             for delta in deltas {
                 mem.apply_delta(delta);
             }
-            let engine_stats = shard.engine.take_engine_stats();
-            self.system.engine_mut().merge_engine_stats(engine_stats);
             debug_assert_eq!(
                 self.system.engine().memory().channel_digest(channel),
                 shard.engine.memory().channel_digest(channel),

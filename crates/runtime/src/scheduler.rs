@@ -52,8 +52,8 @@
 //! on whichever of its threads claims the channel, and folds the
 //! shards' dirty-state deltas and statistics back deterministically. Per-channel fault-injection streams and explicit
 //! mode-register priming keep the results bit- and stats-identical to
-//! serial execution of the same order (on the shipped presets, whose
-//! command streams never stall), independent of the worker count.
+//! serial execution of the same order, for every timing table and
+//! independent of the worker count.
 
 use crate::bitvec::PimBitVec;
 use crate::system::{OpSummary, PimSystem};
@@ -637,11 +637,10 @@ impl PimSystem {
     /// [`PimSystem::open_session_with_workers`]).
     ///
     /// Results are identical to executing the batch in submission order
-    /// (reordering respects data dependences), and — on the shipped
-    /// timing presets, whose serial command streams never stall — the
-    /// merged statistics are identical to serial execution of the same
-    /// scheduled order. The report additionally accounts the mode-switch
-    /// savings and the channel-parallel makespan.
+    /// (reordering respects data dependences), and the merged statistics
+    /// are identical to serial execution of the same scheduled order, for
+    /// every timing table. The report additionally accounts the
+    /// mode-switch savings and the channel-parallel makespan.
     ///
     /// # Errors
     ///
@@ -1228,41 +1227,6 @@ mod tests {
         // Eight gated launches: at least 7·tRRD of spacing on the rank.
         assert!(report.makespan_ns >= 7.0 * 150.0);
         assert!(report.makespan_ns <= report.serial_time_ns + 1e-9);
-    }
-
-    #[test]
-    fn activation_window_survives_the_batch_sync() {
-        // A follow-up activation on the batch's rank must wait out the
-        // batch's last ACT exactly as it would after serial execution:
-        // the shard's relative tRRD history has to land on the parent
-        // clock *after* the shard's elapsed time is merged in.
-        let mut mem = pinatubo_mem::MemConfig::pcm_default();
-        mem.timing.t_rrd_ns = 1000.0;
-        let stall_after = |sharded: bool| -> f64 {
-            let mut s = PimSystem::new(
-                mem.clone(),
-                pinatubo_core::PinatuboConfig::default(),
-                MappingPolicy::SubarrayFirst,
-            );
-            let mut requests = one_request_per_bank(2, 4096);
-            let follow = requests.pop().expect("bank 1 request");
-            if sharded {
-                s.execute_batch(&requests).expect("sharded batch");
-            } else {
-                s.execute_batch_serial(&requests).expect("serial batch");
-            }
-            let operands: Vec<&PimBitVec> = follow.operands.iter().collect();
-            s.bitwise(follow.op, &operands, &follow.dst)
-                .expect("follow-up op");
-            s.stats().time.stall_ns
-        };
-        let serial = stall_after(false);
-        assert!(serial > 0.0, "the follow-up must be tRRD-gated");
-        assert!(
-            (stall_after(true) - serial).abs() < 1e-9,
-            "sharded {} vs serial {serial}",
-            stall_after(true)
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use pinatubo_core::rng::SimRng;
 use pinatubo_core::BitwiseOp;
 use pinatubo_mem::{MemGeometry, RowAddr};
-use pinatubo_runtime::isa::{decode_stream, encode_stream, PimInstruction};
+use pinatubo_runtime::isa::{decode_stream, encode_stream, DecodeError, PimInstruction};
 use pinatubo_runtime::{BatchRequest, MappingPolicy, PimAllocator, PimBitVec, PimSystem};
 
 const OPS: [BitwiseOp; 4] = [
@@ -47,6 +47,57 @@ fn isa_round_trips() {
         let decoded = decode_stream(&g, &words).expect("round trip decodes");
         assert_eq!(decoded, vec![instruction]);
     }
+}
+
+/// The decoder takes any words without panicking. Seeded streams of zero
+/// to eight words mix random words with instruction-shaped runs: a header
+/// with an opcode of 0–5 (1–4 are defined) and an operand count of 0–3,
+/// then that many operand addresses and a destination, each at the edge
+/// of the address space (three in range, one just past it), the stream
+/// cut at its length. Each stream decodes or returns a [`DecodeError`],
+/// and every stream that decodes re-encodes to the same words.
+#[test]
+fn decoder_never_panics_and_round_trips_what_it_accepts() {
+    let g = MemGeometry::pcm_default();
+    let total = g.total_rows();
+    let mut rng = SimRng::seed_from_u64(0xDEC0DE);
+    let (mut accepted, mut instructions) = (0, 0);
+    let (mut truncated, mut unknown, mut out_of_range) = (0, 0, 0);
+    for _ in 0..20_000 {
+        let len = rng.gen_index(9);
+        let mut words = Vec::with_capacity(len + 5);
+        while words.len() < len {
+            if rng.gen_index(8) == 0 {
+                words.push(rng.next_u64());
+                continue;
+            }
+            let opcode = rng.gen_range_u64(0, 6);
+            let count = rng.gen_range_u64(0, 4);
+            words.push((opcode << 56) | (count << 40) | rng.gen_range_u64(0, 1 << 40));
+            for _ in 0..count + 2 {
+                words.push(total - 3 + rng.gen_range_u64(0, 4));
+            }
+        }
+        words.truncate(len);
+        match decode_stream(&g, &words) {
+            Ok(decoded) => {
+                accepted += 1;
+                instructions += decoded.len();
+                assert_eq!(encode_stream(&g, &decoded), words, "{words:#x?}");
+            }
+            Err(DecodeError::Truncated { .. }) => truncated += 1,
+            Err(DecodeError::UnknownOpcode { .. }) => unknown += 1,
+            Err(DecodeError::AddressOutOfRange { .. }) => out_of_range += 1,
+            Err(other) => panic!("no stream here can raise {other}"),
+        }
+    }
+    // Every outcome must occur for the streams to mean anything, and
+    // more than the empty streams must decode.
+    assert!(
+        instructions > 0 && truncated > 0 && unknown > 0 && out_of_range > 0,
+        "accepted {accepted} ({instructions} instructions), truncated {truncated}, \
+         unknown opcode {unknown}, out of range {out_of_range}"
+    );
 }
 
 /// Group allocation never reuses a row and keeps fitting groups in one

@@ -194,6 +194,36 @@ fn worker_count_does_not_change_results() {
     }
 }
 
+/// Session-vs-serial parity holds for every timing table, not only the
+/// shipped presets: at a tRRD and tFAW far above one whole command, the
+/// batch (with and without its straddling request) produces the serial
+/// executor's bits and statistics at every worker count. Only the
+/// interleaved channel model gates activations, so no shard sees a
+/// window the serial stream does not.
+#[test]
+fn tight_activation_windows_keep_session_parity() {
+    let mut mem = MemConfig::pcm_default();
+    mem.timing.t_rrd_ns = 1000.0;
+    mem.timing.t_faw_ns = 10_000.0;
+    for with_cross in [false, true] {
+        let mut serial = sys(mem.clone());
+        let (batch, outs) = build_batch(&mut serial, with_cross);
+        serial.execute_batch_serial(&batch).expect("serial batch");
+        let serial_bits: Vec<Vec<bool>> = outs.iter().map(|v| serial.load(v)).collect();
+
+        for workers in [1usize, 2, 4] {
+            let label = format!("workers={workers}, with_cross={with_cross}");
+            let mut s = sys(mem.clone());
+            let (batch, outs) = build_batch(&mut s, with_cross);
+            s.execute_batch_with_workers(&batch, workers)
+                .expect("batch runs");
+            let bits: Vec<Vec<bool>> = outs.iter().map(|v| s.load(v)).collect();
+            assert_eq!(serial_bits, bits, "{label}: bits must match serial");
+            assert_stats_match(&label, serial.stats(), s.stats());
+        }
+    }
+}
+
 #[test]
 fn merged_reliability_ledger_upholds_the_detection_invariant() {
     let mut s = sys(faulty_mem());
