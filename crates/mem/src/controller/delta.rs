@@ -81,7 +81,7 @@ where
 
 /// Ascending-key snapshot of the entries of `map` whose key matches
 /// `pred` — the one way `HashMap` state is ever iterated for
-/// deterministic output (digests, delta drains), so the sort lives here
+/// deterministic output (the channel digest), so the sort lives here
 /// instead of at every call site.
 fn sorted_matching<K, V>(map: &HashMap<K, V>, pred: impl Fn(&K) -> bool) -> Vec<(K, &V)>
 where
