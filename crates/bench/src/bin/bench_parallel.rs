@@ -26,13 +26,11 @@
 //! `--smoke` runs one small configuration once on two pool sizes. Both
 //! profiles assert only correctness on every iteration (identical result
 //! bits, consistent merged ledgers, modeled makespan no worse than
-//! serial, and `open_session` + syncs on a pre-populated memory copying
-//! O(channels + touched pages) row pages — the copy-on-write guard),
-//! never a wall-clock threshold.
+//! serial), never a wall-clock threshold.
 
 use pinatubo_bench::report::{self, Json, Profile};
 use pinatubo_bench::{rotated_sys, uniform_batch};
-use pinatubo_mem::{MemConfig, ROWS_PER_PAGE};
+use pinatubo_mem::MemConfig;
 use pinatubo_runtime::ScheduleReport;
 use std::time::Instant;
 
@@ -56,9 +54,6 @@ struct Measurement {
     report: ScheduleReport,
     bits_identical: bool,
     ledger_consistent: bool,
-    /// Copy-on-write row pages the pooled run copied (session open +
-    /// shard first-writes + syncs), from `MemStats::row_pages_copied`.
-    pooled_pages_copied: u64,
 }
 
 impl Measurement {
@@ -92,7 +87,6 @@ impl Measurement {
                 (self.report.makespan_ns / 1000.0).into(),
             ),
             ("modeled_speedup", self.modeled_speedup().into()),
-            ("pooled_pages_copied", self.pooled_pages_copied.into()),
             ("bits_identical", self.bits_identical.into()),
             ("ledger_consistent", self.ledger_consistent.into()),
         ])
@@ -115,7 +109,7 @@ fn run_serial(scenario: Scenario) -> (f64, ScheduleReport, Vec<Vec<bool>>) {
     )
 }
 
-fn run_pooled(scenario: Scenario, workers: usize) -> (f64, Vec<Vec<bool>>, bool, u64) {
+fn run_pooled(scenario: Scenario, workers: usize) -> (f64, Vec<Vec<bool>>, bool) {
     let mut pooled = rotated_sys();
     let batch = uniform_batch(&mut pooled, scenario.count, scenario.k, scenario.bits);
     let batch = std::sync::Arc::new(batch);
@@ -130,7 +124,6 @@ fn run_pooled(scenario: Scenario, workers: usize) -> (f64, Vec<Vec<bool>>, bool,
         wall_ms,
         batch.iter().map(|r| pooled.load(&r.dst)).collect(),
         pooled.stats().reliability.is_consistent(),
-        pooled.stats().row_pages_copied,
     )
 }
 
@@ -149,7 +142,7 @@ fn measure(scenario: Scenario, workers: usize, reversed: bool) -> Measurement {
         pooled = run_pooled(scenario, workers);
     }
     let (serial_wall_ms, report, serial_bits) = serial;
-    let (pooled_wall_ms, pooled_bits, ledger_consistent, pooled_pages_copied) = pooled;
+    let (pooled_wall_ms, pooled_bits, ledger_consistent) = pooled;
 
     Measurement {
         scenario,
@@ -159,7 +152,6 @@ fn measure(scenario: Scenario, workers: usize, reversed: bool) -> Measurement {
         pooled_wall_ms,
         bits_identical: serial_bits == pooled_bits,
         ledger_consistent,
-        pooled_pages_copied,
         report,
     }
 }
@@ -184,28 +176,6 @@ fn check(m: &Measurement) {
     assert!(
         m.serial_wall_ms > 0.0 && m.pooled_wall_ms > 0.0,
         "wall-clock timers must advance"
-    );
-    // The copy-on-write regression guard: opening a session on a
-    // pre-populated memory plus the whole stream's syncs must copy row
-    // pages proportional to channels + touched pages — never to the
-    // populated-row count or to capacity. Each request's first write
-    // can copy every page its destination touches (+1 if the
-    // destination starts mid-page).
-    let page = u64::from(ROWS_PER_PAGE);
-    let row_bits = MemConfig::pcm_default().geometry.logical_row_bits();
-    let rows_per_vector = m.scenario.bits.div_ceil(row_bits);
-    let touched_pages = m.scenario.count as u64 * (rows_per_vector.div_ceil(page) + 1);
-    let bound = u64::from(m.channels) + touched_pages;
-    // Zero is legitimate (and ideal): an aligned destination whose page
-    // was never materialized in the parent is created fresh, not copied.
-    assert!(
-        m.pooled_pages_copied <= bound,
-        "session row-page copies must stay O(channels + touched pages): \
-         copied {} against bound {} ({} x{} workers)",
-        m.pooled_pages_copied,
-        bound,
-        m.scenario.name,
-        m.workers
     );
 }
 

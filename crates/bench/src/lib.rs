@@ -44,19 +44,15 @@ use pinatubo_core::{BitwiseOp, PinatuboConfig};
 use pinatubo_mem::MemConfig;
 use pinatubo_runtime::{BatchRequest, MappingPolicy, PimBitVec, PimSystem};
 
-/// The system the scheduling benches measure on: PCM, channel-rotated
-/// placement, page-aligned allocation groups. Page alignment keeps a
-/// request's destination off its neighbours' copy-on-write pages, so a
-/// session shard's first write copies only the group's own pages.
+/// The system the scheduling benches measure on: PCM with
+/// channel-rotated placement.
 #[must_use]
 pub fn rotated_sys() -> PimSystem {
-    let mut s = PimSystem::new(
+    PimSystem::new(
         MemConfig::pcm_default(),
         PinatuboConfig::default(),
         MappingPolicy::ChannelRotate,
-    );
-    s.set_page_aligned_groups(true);
-    s
+    )
 }
 
 /// Stores a deterministic `bits`-bit pattern, varied by `salt`, into `v`.

@@ -8,54 +8,55 @@
 use super::MainMemory;
 use crate::address::RowAddr;
 use crate::array::RowData;
-use crate::page::{PageId, PageTable, RowPage};
 use crate::stats::MemStats;
 use pinatubo_nvm::fault::FaultState;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Keys of the functional state mutated since the last drain. Maintained
-/// by the store/wear/protection-metadata/fault mutation paths
-/// themselves, so the log is exact regardless of which command touched
-/// the state. Row writes are logged at page granularity: a delta ships
-/// the whole (Arc'd) page, so finer tracking would buy nothing.
+/// Keys of the functional state mutated since the last drain, kept by the
+/// store and fault-stream paths themselves so the log is exact regardless
+/// of which command touched the state. A row's wear and kept intended
+/// image change only beside a store of that row (`charge_write` and
+/// `record_protection` always run next to `store`), so one dirty set per
+/// row covers all three.
 #[derive(Debug, Default)]
 pub(super) struct DirtyLog {
-    pub(super) pages: HashSet<PageId>,
-    pub(super) wear: HashSet<RowAddr>,
-    pub(super) protect: HashSet<RowAddr>,
+    pub(super) rows: HashSet<RowAddr>,
     pub(super) fault: HashSet<u32>,
 }
 
 /// The state one channel's owner must ship to bring a stale mirror up to
-/// date: exactly the row pages, wear counters, protection metadata (the
-/// intended images of rows a write left with wrong bits, and the removal
-/// of each image a clean write dropped) and fault-stream position touched
-/// since the last drain.
+/// date: for each row written since the last drain its image, wear and
+/// kept intended image, plus the fault-stream position when it moved.
 /// Produced by [`MainMemory::take_dirty_state`], consumed by
-/// [`MainMemory::apply_delta`]. Dirty pages travel as `Arc` references —
-/// O(1) each, no row data cloned — and the receiver installs them
-/// wholesale, re-sharing the page between both sides. Carries no
-/// statistics — those are moved separately so a delta can also
-/// flow *away* from the ledger owner (e.g. a channel-straddling request
-/// on the unified memory pushing its writes back to shards).
+/// [`MainMemory::apply_delta`]. Row images travel as `Arc` references —
+/// O(1) each, no row data cloned — and the receiver installs them, so
+/// both sides share the row again. Carries no statistics — those are
+/// moved separately so a delta can also flow *away* from the ledger
+/// owner (e.g. a channel-straddling request on the unified memory pushing
+/// its writes back to shards).
 #[derive(Debug)]
 pub struct ChannelDelta {
     pub(super) channel: u32,
-    pub(super) pages: Vec<(PageId, Arc<RowPage>)>,
-    wear: Vec<(RowAddr, u64)>,
-    /// `Some(image)` keeps a row's intended image, `None` drops it.
-    protect: Vec<(RowAddr, Option<RowData>)>,
+    pub(super) rows: Vec<DirtyRow>,
     fault: Option<FaultState>,
+}
+
+/// Everything the sender holds for one dirty row; `None` means it holds
+/// no entry, and the receiver drops its own.
+#[derive(Debug)]
+pub(super) struct DirtyRow {
+    pub(super) addr: RowAddr,
+    image: Option<Arc<RowData>>,
+    wear: Option<u64>,
+    kept: Option<RowData>,
 }
 
 impl ChannelDelta {
     fn empty(channel: u32) -> Self {
         ChannelDelta {
             channel,
-            pages: Vec::new(),
-            wear: Vec::new(),
-            protect: Vec::new(),
+            rows: Vec::new(),
             fault: None,
         }
     }
@@ -96,6 +97,14 @@ where
     entries
 }
 
+/// Sets `map[key]` to `value`, or removes the entry when `value` is `None`.
+fn install<V>(map: &mut HashMap<RowAddr, V>, key: RowAddr, value: Option<V>) {
+    match value {
+        Some(value) => map.insert(key, value),
+        None => map.remove(&key),
+    };
+}
+
 /// Consumes a dirty-key set into an ascending, deterministic drain order.
 fn sorted_keys<K: Ord>(set: HashSet<K>) -> Vec<K> {
     let mut keys: Vec<K> = set.into_iter().collect();
@@ -109,9 +118,9 @@ impl MainMemory {
     /// shard gets the channel's rows, wear, kept intended images and
     /// fault-injection stream; configuration and the
     /// cached fan-in analyses are copied (never re-derived — the yield
-    /// sweep is a Monte-Carlo run). Row pages are shared by reference
-    /// (one `Arc` bump per page, zero row copies — see `crate::page`);
-    /// either side deep-copies a page only on its first write to it. The
+    /// sweep is a Monte-Carlo run). Rows are shared by reference (one
+    /// `Arc` bump per row, zero row copies); a write on either side
+    /// replaces only that side's reference. The
     /// shard owner brings the mirror back up to date by shipping
     /// [`ChannelDelta`]s (see [`MainMemory::take_dirty_state`]) plus its
     /// taken statistics ([`MainMemory::merge_stats`]), which makes both
@@ -144,7 +153,7 @@ impl MainMemory {
     pub fn clone_channel(&self, channel: u32) -> MainMemory {
         self.assert_channel_in_geometry(channel);
         let mut shard = self.shard_skeleton();
-        shard.rows = self.rows.share_channel(channel);
+        shard.rows = clone_matching(&self.rows, |a| a.channel == channel);
         shard.wear = clone_matching(&self.wear, |a| a.channel == channel);
         shard.protect = clone_matching(&self.protect, |a| a.channel == channel);
         if let Some(state) = self.fault.get(&channel) {
@@ -168,7 +177,7 @@ impl MainMemory {
             config: self.config.clone(),
             sense_amp: self.sense_amp.clone(),
             max_or_fan_in: self.max_or_fan_in,
-            rows: PageTable::default(),
+            rows: HashMap::new(),
             wear: HashMap::new(),
             fault: HashMap::new(),
             fault_sites: HashMap::new(),
@@ -190,32 +199,19 @@ impl MainMemory {
         let dirty = std::mem::take(&mut self.dirty);
         let mut by_channel: std::collections::BTreeMap<u32, ChannelDelta> =
             std::collections::BTreeMap::new();
-        for id in sorted_keys(dirty.pages) {
-            // One Arc bump per dirty page, never a row copy: the receiver
-            // installs the page wholesale and both sides share it again.
-            if let Some(page) = self.rows.page(id) {
-                by_channel
-                    .entry(id.channel())
-                    .or_insert_with(|| ChannelDelta::empty(id.channel()))
-                    .pages
-                    .push((id, page));
-            }
-        }
-        for addr in sorted_keys(dirty.wear) {
-            if let Some(&writes) = self.wear.get(&addr) {
-                by_channel
-                    .entry(addr.channel)
-                    .or_insert_with(|| ChannelDelta::empty(addr.channel))
-                    .wear
-                    .push((addr, writes));
-            }
-        }
-        for addr in sorted_keys(dirty.protect) {
+        for addr in sorted_keys(dirty.rows) {
+            // One Arc bump per dirty row, never a row copy: the receiver
+            // installs the image and both sides share it again.
             by_channel
                 .entry(addr.channel)
                 .or_insert_with(|| ChannelDelta::empty(addr.channel))
-                .protect
-                .push((addr, self.protect.get(&addr).cloned()));
+                .rows
+                .push(DirtyRow {
+                    addr,
+                    image: self.rows.get(&addr).cloned(),
+                    wear: self.wear.get(&addr).copied(),
+                    kept: self.protect.get(&addr).cloned(),
+                });
         }
         for channel in dirty.fault {
             by_channel
@@ -226,32 +222,17 @@ impl MainMemory {
         by_channel.into_values().collect()
     }
 
-    /// Applies a delta produced by the owner of a channel's state: row
-    /// pages install wholesale (re-sharing them between both sides), wear
-    /// entries and kept intended images overwrite, a dropped image is
-    /// removed here too, and the fault stream (when carried) replaces this
-    /// side's position.
+    /// Applies a delta produced by the owner of a channel's state: each
+    /// shipped row's image, wear and kept intended image replace this
+    /// side's (or remove them where the sender holds none), and the fault
+    /// stream (when carried) replaces this side's position.
     /// Application is not logged as dirty — both sides agree on the
     /// shipped state afterwards, so re-shipping it would be pure waste.
-    ///
-    /// Installing whole pages is lossless because the delta protocol
-    /// gives each channel a single writer between sync points: the shard
-    /// owns it during execution, and the parent only writes at sync
-    /// points — after folding the shard's deltas in — then immediately
-    /// pushes its own writes back, so neither side can hold a newer row
-    /// inside a page the other ships.
     pub fn apply_delta(&mut self, delta: ChannelDelta) {
-        for (id, page) in delta.pages {
-            self.rows.insert_page(id, page);
-        }
-        for (addr, writes) in delta.wear {
-            self.wear.insert(addr, writes);
-        }
-        for (addr, image) in delta.protect {
-            match image {
-                Some(image) => self.protect.insert(addr, image),
-                None => self.protect.remove(&addr),
-            };
+        for row in delta.rows {
+            install(&mut self.rows, row.addr, row.image);
+            install(&mut self.wear, row.addr, row.wear);
+            install(&mut self.protect, row.addr, row.kept);
         }
         if let Some(state) = delta.fault {
             self.fault.insert(state.channel(), state);
@@ -290,15 +271,7 @@ impl MainMemory {
     pub fn channel_digest(&self, channel: u32) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        // Hash logical rows, not pages: two memories whose page tables
-        // share differently (or page identical data differently after a
-        // split vs a delta sync) must still digest equal.
-        let mut rows = self.rows.channel_rows(channel);
-        rows.sort_unstable_by_key(|&(key, _)| key);
-        for ((id, row), data) in rows {
-            (id, row).hash(&mut hasher);
-            data.hash(&mut hasher);
-        }
+        sorted_matching(&self.rows, |a| a.channel == channel).hash(&mut hasher);
         sorted_matching(&self.wear, |a| a.channel == channel).hash(&mut hasher);
         sorted_matching(&self.protect, |a| a.channel == channel).hash(&mut hasher);
         self.fault

@@ -4,7 +4,7 @@
 //! channel's draw stream, resolved by the word-packed fast path (the
 //! default) or the per-cell reference path it is pinned against
 //! (`MemConfig::reference_fault_path`). The packed sense reads operand
-//! words in place, where the page table stores them; only a row with a
+//! words in place, where the row map stores them; only a row with a
 //! fault site among the sensed columns is copied and patched. Per-row
 //! fault sites are cached, and neither packed path consults the cache
 //! when the model cannot create a site ([`FaultModel::has_fault_sites`]).
@@ -17,6 +17,7 @@ use pinatubo_nvm::resistance::Ohms;
 use pinatubo_nvm::sense_amp::SenseMode;
 use pinatubo_nvm::write_driver::{WriteDriver, WriteSource};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One cached [`FaultModel::row_fault_sites`] result: the ascending
 /// `(bit, held value)` fault sites of a row at a given wear level, over
@@ -32,7 +33,7 @@ pub(super) struct CachedRowSites {
 /// over its first `cols` columns, as a slice of the cache. A cached entry
 /// is reused when its wear level matches and it covers at least `cols`
 /// columns; otherwise it is regenerated from the model. Takes the cache
-/// field alone, so the caller may read the page table while it holds
+/// field alone, so the caller may read the stored rows while it holds
 /// the slice.
 fn row_sites<'c>(
     cache: &'c mut HashMap<u64, CachedRowSites>,
@@ -99,7 +100,12 @@ impl MainMemory {
         if sites.is_empty() {
             return None;
         }
-        let mut row = self.rows.get(addr).cloned().unwrap_or_default();
+        let mut row = self
+            .rows
+            .get(&addr)
+            .map(Arc::as_ref)
+            .cloned()
+            .unwrap_or_default();
         row.resize(cols);
         for &(bit, value) in sites {
             row.set(bit, value);
@@ -108,7 +114,7 @@ impl MainMemory {
     }
 
     /// The O(words + fault sites) sense path. Operand words are read in
-    /// place from the page table: a stored row narrower than `cols` reads
+    /// place from the stored rows: a stored row narrower than `cols` reads
     /// as zero-extended, a wider one is cut at `cols`. Only a row with a
     /// fault site below `cols` is copied and patched to hold its
     /// *effective* bits. Whole ones-count classes are then classified as

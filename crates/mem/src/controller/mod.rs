@@ -30,7 +30,6 @@ use crate::address::RowAddr;
 use crate::array::RowData;
 use crate::commands::PimConfig;
 use crate::geometry::MemGeometry;
-use crate::page::{PageId, PageTable};
 use crate::stats::MemStats;
 use crate::MemError;
 use delta::DirtyLog;
@@ -44,6 +43,7 @@ use pinatubo_nvm::timing::TimingParams;
 use pinatubo_nvm::write_driver::WriteSource;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Words per block of the functional combine (1 KB): the block and each
 /// operand's slice of it stay in L1 while every operand folds in.
@@ -237,12 +237,11 @@ pub struct MainMemory {
     sense_amp: Option<CurrentSenseAmp>,
     /// Cached result of the (static) sense-margin fan-in analysis.
     max_or_fan_in: usize,
-    /// Sparse row storage as `Arc`-shared copy-on-write pages (see
-    /// [`crate::page`]): channel shards, the session parent's mirror and
-    /// snapshots share untouched pages for free; a shared page is
-    /// deep-copied only on its first write, counted in
-    /// [`MemStats::row_pages_copied`].
-    rows: PageTable,
+    /// Sparse row storage, one `Arc`-shared image per written row: a
+    /// channel shard and the session parent's mirror share every row
+    /// neither has written since they last synced, and a write replaces
+    /// the writer's reference, so no row is ever copied to be written.
+    rows: HashMap<RowAddr, Arc<RowData>>,
     /// Charged writes per row, for endurance analysis.
     wear: HashMap<RowAddr, u64>,
     /// Fault-injection state, one sequential draw stream per channel
@@ -311,7 +310,7 @@ impl MainMemory {
             config,
             sense_amp,
             max_or_fan_in,
-            rows: PageTable::default(),
+            rows: HashMap::new(),
             wear: HashMap::new(),
             fault,
             fault_sites: HashMap::new(),
@@ -402,7 +401,7 @@ impl MainMemory {
     /// result extraction, not for modelling traffic.
     #[must_use]
     pub fn peek_row(&self, addr: RowAddr) -> Option<&RowData> {
-        self.rows.get(addr)
+        self.rows.get(&addr).map(Arc::as_ref)
     }
 
     /// Direct (zero-cost) store into a row — for test setup / workload
@@ -948,14 +947,14 @@ impl MainMemory {
         // 2^19-bit row: reads zero-extend (`load`), which keeps the host
         // memory footprint proportional to the bits actually used. Takes
         // the buffer by value — the physical write path moves the image it
-        // just built instead of cloning it. Writing into a page currently
-        // shared with a mirror or snapshot deep-copies the page first
-        // (copy-on-write); `row_pages_copied` counts those so tooling can
-        // pin that session setup and sync stay O(touched state).
-        let (page, _) = PageId::of(addr);
-        self.dirty.pages.insert(page);
-        if self.rows.insert(addr, data) {
-            self.stats.row_pages_copied += 1;
+        // just built instead of cloning it. A row nothing else shares is
+        // overwritten in place; one shared with a shard or mirror gets a
+        // fresh `Arc`, leaving the other side's reference untouched.
+        self.dirty.rows.insert(addr);
+        let row = self.rows.entry(addr).or_default();
+        match Arc::get_mut(row) {
+            Some(row) => *row = data,
+            None => *row = Arc::new(data),
         }
     }
 
@@ -1166,7 +1165,6 @@ impl MainMemory {
             self.charge_ecc_encode(bits);
         }
         self.stats.events.row_writes += 1;
-        self.dirty.wear.insert(addr);
         *self.wear.entry(addr).or_insert(0) += 1;
     }
 

@@ -177,16 +177,13 @@ impl MainMemory {
         }
         if bad > 0 {
             self.protect.insert(addr, data.clone());
-            self.dirty.protect.insert(addr);
             return;
         }
         debug_assert!(
             self.peek_row(addr) == Some(data),
             "a row kept without an intended image must hold exactly the bits just written"
         );
-        if self.protect.remove(&addr).is_some() {
-            self.dirty.protect.insert(addr);
-        }
+        self.protect.remove(&addr);
     }
 
     /// How many leading words of a sensed row are fully determined on

@@ -1053,38 +1053,60 @@ fn clone_of_an_invalid_channel_panics() {
 }
 
 #[test]
-fn clone_channel_copies_zero_row_pages_until_first_write() {
+fn clone_channel_shares_rows_until_a_write_replaces_one() {
+    /// Whether both memories hold the very same stored image of `addr`.
+    fn shared(a: &MainMemory, b: &MainMemory, addr: RowAddr) -> bool {
+        match (a.peek_row(addr), b.peek_row(addr)) {
+            (Some(x), Some(y)) => std::ptr::eq(x, y),
+            _ => false,
+        }
+    }
     let mut m = mem();
-    let n = crate::page::ROWS_PER_PAGE * 4;
     let original = RowData::from_bits(&[true, true, false, true]);
-    for row in 0..n {
-        m.poke_row(ch_addr(0, 0, row), &original).expect("poke");
+    for channel in 0..2 {
+        for row in 0..4 {
+            m.poke_row(ch_addr(channel, 0, row), &original)
+                .expect("poke");
+        }
     }
     let _ = m.take_dirty_state();
-    assert_eq!(m.stats().row_pages_copied, 0, "populating copies nothing");
 
     let mut shard = m.clone_channel(0);
-    assert_eq!(
-        m.stats().row_pages_copied + shard.stats().row_pages_copied,
-        0,
-        "cloning a channel of {n} populated rows must copy zero row pages"
-    );
+    for row in 0..4 {
+        assert!(
+            shared(&m, &shard, ch_addr(0, 0, row)),
+            "row {row} is shared"
+        );
+        assert!(
+            shard.peek_row(ch_addr(1, 0, row)).is_none(),
+            "the clone holds no row of another channel"
+        );
+    }
 
-    // First shard write to a shared page copies exactly that page.
+    // A shard write replaces its own reference and nothing else.
+    let written = ch_addr(0, 0, 1);
     let update = RowData::from_bits(&[false, false, true, false]);
-    shard.poke_row(ch_addr(0, 0, 0), &update).expect("poke");
-    assert_eq!(shard.stats().row_pages_copied, 1);
-    // A second write inside the now-exclusive page copies nothing.
-    shard.poke_row(ch_addr(0, 0, 1), &update).expect("poke");
-    assert_eq!(shard.stats().row_pages_copied, 1);
-    // A write landing in a different shared page copies that one too.
-    shard
-        .poke_row(ch_addr(0, 0, crate::page::ROWS_PER_PAGE), &update)
-        .expect("poke");
-    assert_eq!(shard.stats().row_pages_copied, 2);
-    // The stale mirror never observed any of it.
-    assert_eq!(m.peek_row(ch_addr(0, 0, 0)), Some(&original));
+    shard.poke_row(written, &update).expect("poke");
+    assert_eq!(shard.peek_row(written), Some(&update));
+    assert_eq!(
+        m.peek_row(written),
+        Some(&original),
+        "the parent keeps the old bits"
+    );
+    for row in [0, 2, 3] {
+        assert!(
+            shared(&m, &shard, ch_addr(0, 0, row)),
+            "neighbour {row} stays shared"
+        );
+    }
+
+    // The sync installs the shard's image: both sides share it again.
+    for delta in shard.take_dirty_state() {
+        m.apply_delta(delta);
+    }
+    assert!(shared(&m, &shard, written));
     assert_eq!(m.stats().row_pages_copied, 0);
+    assert_eq!(shard.stats().row_pages_copied, 0);
 }
 
 #[test]
@@ -1105,10 +1127,10 @@ fn clone_channel_retains_undrained_dirty_state_in_the_parent() {
     assert_eq!(parent_deltas[1].channel, 1);
     assert!(
         parent_deltas[1]
-            .pages
+            .rows
             .iter()
-            .any(|(id, _)| id.channel() == 1),
-        "retained dirty state covers the poked page"
+            .any(|row| row.addr == ch_addr(1, 0, 7)),
+        "retained dirty state covers the poked row"
     );
 
     // … while the shard starts in sync with the parent, so its own
@@ -1122,14 +1144,13 @@ fn clone_channel_retains_undrained_dirty_state_in_the_parent() {
     let shard_deltas = shard.take_dirty_state();
     assert_eq!(shard_deltas.len(), 1);
     assert_eq!(shard_deltas[0].channel, 1);
-    let (expected_page, _) = PageId::of(addr);
     assert_eq!(
         shard_deltas[0]
-            .pages
+            .rows
             .iter()
-            .map(|&(id, _)| id)
+            .map(|row| row.addr)
             .collect::<Vec<_>>(),
-        vec![expected_page],
+        vec![addr],
         "only the shard's own write is shipped"
     );
 }

@@ -45,7 +45,6 @@ pub mod commands;
 pub mod controller;
 pub mod geometry;
 pub mod interleave;
-mod page;
 pub mod secded;
 pub mod stats;
 
@@ -57,7 +56,6 @@ pub use controller::{
 };
 pub use geometry::MemGeometry;
 pub use interleave::{ChannelTimeline, CmdKind, CmdStep, Placement, RequestStream};
-pub use page::ROWS_PER_PAGE;
 pub use stats::{EnergyBreakdown, MemStats, ReliabilityStats, TimeBreakdown};
 
 use pinatubo_nvm::NvmError;

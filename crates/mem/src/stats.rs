@@ -420,12 +420,10 @@ pub struct MemStats {
     pub events: EventCounters,
     /// Fault-injection and recovery bookkeeping (all zero without faults).
     pub reliability: ReliabilityStats,
-    /// Copy-on-write row pages deep-copied on first write while shared
-    /// (see `pinatubo-mem`'s page module). A *host-side* cost metric, not
-    /// a simulated-memory event: it tracks what session setup and
-    /// dirty-delta syncs actually copy, so tooling can assert they stay
-    /// O(channels + touched pages) instead of O(capacity). Serial
-    /// execution never shares pages and always reads zero here.
+    /// Always zero: rows are shared by reference and a write replaces
+    /// the writer's reference, so nothing is copied to be written. Kept
+    /// only because the repository benchmark still reports it as
+    /// `mem.controller.row_pages_copied`; it goes when that report does.
     pub row_pages_copied: u64,
 }
 

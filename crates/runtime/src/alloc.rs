@@ -20,6 +20,11 @@ use pinatubo_core::rng::SimRng;
 use pinatubo_mem::{MemGeometry, RowAddr};
 use std::collections::HashSet;
 
+/// Transposed bit-planes start on a row index divisible by this. Row
+/// placement is part of every seeded result (the fault model keys its
+/// draws on row addresses), so the rule stays fixed.
+const PLANE_ALIGN_ROWS: u64 = 4;
+
 /// The PIM-aware allocator.
 #[derive(Debug)]
 pub struct PimAllocator {
@@ -39,14 +44,6 @@ pub struct PimAllocator {
     channel_cursors: Vec<u64>,
     /// Which channel the next `ChannelRotate` allocation group lands on.
     rotate_channel: usize,
-    /// Start each allocation group on a copy-on-write page boundary
-    /// (see [`pinatubo_mem::ROWS_PER_PAGE`]). Off by default: skipping
-    /// rows changes placements, and the fault model keys its draws on
-    /// row addresses, so alignment is opt-in for workloads (like the
-    /// session pool) that trade a few spare rows for not dragging cold
-    /// neighbour rows through page copies when a group's destination
-    /// is written.
-    page_aligned_groups: bool,
     rng: SimRng,
     next_id: u64,
 }
@@ -77,7 +74,6 @@ impl PimAllocator {
             cursor: 0,
             channel_cursors,
             rotate_channel: 0,
-            page_aligned_groups: false,
             rng: SimRng::seed_from_u64(seed),
             next_id: 0,
         }
@@ -87,29 +83,6 @@ impl PimAllocator {
     #[must_use]
     pub fn policy(&self) -> MappingPolicy {
         self.policy
-    }
-
-    /// Starts every subsequent [`PimAllocator::alloc_group`] on a
-    /// copy-on-write page boundary ([`pinatubo_mem::ROWS_PER_PAGE`]
-    /// rows). A group's destination row then never shares a page with a
-    /// neighbouring group's operands, so a session-pool shard writing
-    /// the destination copies at most the group's own page instead of
-    /// dragging cold foreign rows through the copy. Costs at most
-    /// `ROWS_PER_PAGE - 1` spare rows per group; changes row placement,
-    /// hence opt-in (default off keeps placements — and the
-    /// fault-model draws keyed on them — byte-identical).
-    ///
-    /// Only the contiguous-cursor policies (`SubarrayFirst`,
-    /// `ChannelRotate`) honour it; scatter policies have no contiguous
-    /// groups to align.
-    pub fn set_page_aligned_groups(&mut self, on: bool) {
-        self.page_aligned_groups = on;
-    }
-
-    /// Whether allocation groups start on copy-on-write page boundaries.
-    #[must_use]
-    pub fn page_aligned_groups(&self) -> bool {
-        self.page_aligned_groups
     }
 
     /// Steers the next [`PimAllocator::alloc_group`] to `channel` under
@@ -279,11 +252,9 @@ impl PimAllocator {
     /// "maximizes the opportunity for calling intra-subarray operations").
     /// Under `SubarrayFirst` and `ChannelRotate` the group takes the first
     /// run of free rows at or after the cursor that holds it whole inside
-    /// one subarray (starting on a page boundary when
-    /// [`PimAllocator::set_page_aligned_groups`] is on), so rows released
-    /// below the cursor are refilled without splitting the group. Groups
-    /// bigger than a subarray, or other policies, degrade gracefully to
-    /// per-vector allocation.
+    /// one subarray, so rows released below the cursor are refilled
+    /// without splitting the group. Groups bigger than a subarray, or
+    /// other policies, degrade gracefully to per-vector allocation.
     ///
     /// # Errors
     ///
@@ -293,6 +264,17 @@ impl PimAllocator {
         count: usize,
         len_bits: u64,
     ) -> Result<Vec<PimBitVec>, RuntimeError> {
+        self.place_group(count, len_bits, 1)
+    }
+
+    /// [`PimAllocator::alloc_group`] with the group's first row on a
+    /// multiple of `step` rows (within the contiguous-cursor policies).
+    fn place_group(
+        &mut self,
+        count: usize,
+        len_bits: u64,
+        step: u64,
+    ) -> Result<Vec<PimBitVec>, RuntimeError> {
         if len_bits == 0 {
             return Err(RuntimeError::EmptyAllocation);
         }
@@ -300,7 +282,7 @@ impl PimAllocator {
         match self.policy {
             MappingPolicy::SubarrayFirst => {
                 let total = self.geometry.total_rows();
-                if let Some(start) = self.find_run(0, total, self.cursor, group_rows) {
+                if let Some(start) = self.find_run(0, total, self.cursor, group_rows, step) {
                     self.cursor = start;
                 }
                 self.alloc_many(count, len_bits)
@@ -314,7 +296,7 @@ impl PimAllocator {
                 let per_channel = self.rows_per_channel();
                 let base = c as u64 * per_channel;
                 if let Some(start) =
-                    self.find_run(base, per_channel, self.channel_cursors[c], group_rows)
+                    self.find_run(base, per_channel, self.channel_cursors[c], group_rows, step)
                 {
                     self.channel_cursors[c] = start;
                 }
@@ -331,25 +313,20 @@ impl PimAllocator {
     /// Where a group of `rows` rows starts inside the row range
     /// `base..base + span` (a whole number of subarrays): the first row at
     /// or after `from`, wrapping once past the end of the range, that
-    /// begins a run of `rows` free rows inside one subarray, on a page
-    /// boundary when groups are page-aligned. A group bigger than a
-    /// subarray cannot fit one and takes the first free (aligned) row.
-    /// `None` when no such run exists; the cursor then stays put and the
-    /// group fills free rows one by one.
-    fn find_run(&self, base: u64, span: u64, from: u64, rows: u64) -> Option<u64> {
+    /// begins a run of `rows` free rows inside one subarray, on a
+    /// multiple of `step`. A group bigger than a subarray cannot fit one
+    /// and takes the first free (aligned) row. `None` when no such run
+    /// exists; the cursor then stays put and the group fills free rows
+    /// one by one.
+    fn find_run(&self, base: u64, span: u64, from: u64, rows: u64, step: u64) -> Option<u64> {
         let sub_rows = u64::from(self.geometry.rows_per_subarray);
         let (need, whole) = if rows <= sub_rows {
             (rows, true)
         } else {
             (1, false)
         };
-        let step = if self.page_aligned_groups {
-            u64::from(pinatubo_mem::ROWS_PER_PAGE)
-        } else {
-            1
-        };
         // Candidate starts in `lo..hi`, range-relative. A subarray is a
-        // whole number of pages, so a jump to the next subarray keeps the
+        // whole number of steps, so a jump to the next subarray keeps the
         // alignment.
         let scan = |lo: u64, hi: u64| {
             let mut p = lo.div_ceil(step) * step;
@@ -374,12 +351,8 @@ impl PimAllocator {
 
     /// Allocates `width_bits` bit-planes of `lanes` bits each — the
     /// bit-transposed layout for `runtime::microcode`: plane `k` holds bit
-    /// `k` (LSB first) of every lane. The planes are one placement group,
-    /// always started on a copy-on-write page boundary (like
-    /// [`PimAllocator::set_page_aligned_groups`], but unconditional: a
-    /// transposed vector's planes are rewritten together, so sharing a
-    /// page with a neighbouring group would drag its cold rows through
-    /// every copy).
+    /// `k` (LSB first) of every lane. The planes are one placement group
+    /// whose first row index is divisible by four.
     ///
     /// # Errors
     ///
@@ -393,11 +366,7 @@ impl PimAllocator {
         if lanes == 0 || width_bits == 0 {
             return Err(RuntimeError::EmptyAllocation);
         }
-        let was_aligned = self.page_aligned_groups;
-        self.page_aligned_groups = true;
-        let planes = self.alloc_group(width_bits as usize, lanes);
-        self.page_aligned_groups = was_aligned;
-        planes
+        self.place_group(width_bits as usize, lanes, PLANE_ALIGN_ROWS)
     }
 
     /// `count` sequential [`PimAllocator::alloc`] calls that roll back on
@@ -684,45 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn page_aligned_groups_start_on_page_boundaries() {
-        let page = u64::from(pinatubo_mem::ROWS_PER_PAGE);
-        for policy in [MappingPolicy::SubarrayFirst, MappingPolicy::ChannelRotate] {
-            let mut a = alloc(policy);
-            a.set_page_aligned_groups(true);
-            let g = MemGeometry::pcm_default();
-            for i in 0..20 {
-                // Odd group sizes so unaligned allocation would drift.
-                let group = a.alloc_group(3, 64).expect("group");
-                let first = group[0].rows()[0].to_linear(&g);
-                assert_eq!(
-                    first % page,
-                    0,
-                    "group {i} under {policy:?} must start page-aligned"
-                );
-                // Rows stay consecutive, so the whole group shares the
-                // minimal number of pages.
-                let rows: Vec<u64> = group.iter().map(|v| v.rows()[0].to_linear(&g)).collect();
-                assert_eq!(rows, vec![first, first + 1, first + 2]);
-            }
-        }
-    }
-
-    #[test]
-    fn page_alignment_is_off_by_default_and_changes_nothing_when_off() {
-        let mut plain = alloc(MappingPolicy::SubarrayFirst);
-        let mut flagged = alloc(MappingPolicy::SubarrayFirst);
-        assert!(!flagged.page_aligned_groups());
-        flagged.set_page_aligned_groups(true);
-        flagged.set_page_aligned_groups(false);
-        for _ in 0..10 {
-            let a = plain.alloc_group(3, 64).expect("plain");
-            let b = flagged.alloc_group(3, 64).expect("flagged");
-            let rows = |g2: &[PimBitVec]| g2.iter().map(|v| v.rows().to_vec()).collect::<Vec<_>>();
-            assert_eq!(rows(&a), rows(&b), "default placement must not move");
-        }
-    }
-
-    #[test]
     fn release_rows_round_trips_free_rows() {
         let mut a = alloc(MappingPolicy::SubarrayFirst);
         let before = a.free_rows();
@@ -841,21 +771,20 @@ mod tests {
     #[test]
     fn transposed_planes_are_page_aligned_groups() {
         let g = MemGeometry::pcm_default();
-        let page = u64::from(pinatubo_mem::ROWS_PER_PAGE);
         let mut a = alloc(MappingPolicy::SubarrayFirst);
         a.alloc(64).expect("misalign the cursor");
         let planes = a.alloc_transposed(4096, 8).expect("transposed");
         assert_eq!(planes.len(), 8);
         let first = planes[0].rows()[0].to_linear(&g);
-        assert_eq!(first % page, 0, "planes start on a page boundary");
+        assert_eq!(
+            first % PLANE_ALIGN_ROWS,
+            0,
+            "planes start on an aligned row"
+        );
         for (k, p) in planes.iter().enumerate() {
             assert_eq!(p.len_bits(), 4096);
             assert_eq!(p.rows()[0].to_linear(&g), first + k as u64);
         }
-        assert!(
-            !a.page_aligned_groups(),
-            "transposed alloc must not leave the page-alignment flag on"
-        );
         assert_eq!(a.alloc_transposed(0, 8), Err(RuntimeError::EmptyAllocation));
         assert_eq!(
             a.alloc_transposed(64, 0),

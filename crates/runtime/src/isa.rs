@@ -5,8 +5,8 @@
 //! mode-register writes (§5, Fig. 4). This module defines those
 //! instructions and a compact binary wire format: row-granular
 //! instructions encode to words, the words decode back to instructions
-//! (rejecting truncated streams, unknown opcodes and out-of-range
-//! addresses), and a decoded stream executes on the engine.
+//! (rejecting truncated streams, unknown opcodes, ill-formed headers and
+//! out-of-range addresses), and a decoded stream executes on the engine.
 //!
 //! # Wire format
 //!
@@ -78,8 +78,8 @@ impl PimInstruction {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on truncated streams, unknown opcodes or
-    /// out-of-range addresses.
+    /// Returns [`DecodeError`] on truncated streams, unknown opcodes,
+    /// ill-formed headers or out-of-range addresses.
     pub fn decode(
         geometry: &MemGeometry,
         words: &[u64],
@@ -98,6 +98,17 @@ impl PimInstruction {
         };
         let operand_count = ((header >> 40) & 0xFFFF) as usize;
         let cols = header & COL_MASK;
+        let arity_ok = match op {
+            BitwiseOp::Not => operand_count == 1,
+            BitwiseOp::Or | BitwiseOp::And | BitwiseOp::Xor => operand_count >= 2,
+        };
+        if !arity_ok || cols == 0 || cols > geometry.logical_row_bits() {
+            return Err(DecodeError::IllFormed {
+                opcode: (header >> 56) as u8,
+                operands: operand_count,
+                cols,
+            });
+        }
         let needed = operand_count + 2;
         if words.len() < needed {
             return Err(DecodeError::Truncated { needed });
@@ -190,6 +201,17 @@ pub enum DecodeError {
         /// The offending linear row index.
         linear: u64,
     },
+    /// The header's operand count does not fit its opcode (NOT takes
+    /// one operand, OR/AND/XOR at least two), or its column count is 0
+    /// or more than one row holds.
+    IllFormed {
+        /// The header's opcode byte.
+        opcode: u8,
+        /// The header's operand count.
+        operands: usize,
+        /// The header's column count.
+        cols: u64,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -202,6 +224,14 @@ impl fmt::Display for DecodeError {
             DecodeError::AddressOutOfRange { linear } => {
                 write!(f, "packed row address {linear} outside the geometry")
             }
+            DecodeError::IllFormed {
+                opcode,
+                operands,
+                cols,
+            } => write!(
+                f,
+                "ill-formed instruction: opcode {opcode:#x} with {operands} operands over {cols} columns"
+            ),
         }
     }
 }
@@ -294,6 +324,51 @@ mod tests {
         );
     }
 
+    /// An `op` over `n` operand rows and `cols` columns.
+    fn shaped(op: BitwiseOp, n: u32, cols: u64) -> PimInstruction {
+        PimInstruction {
+            op,
+            operands: (1..=n).map(|row| RowAddr::new(0, 0, 0, 0, row)).collect(),
+            dst: RowAddr::new(0, 0, 0, 0, 0),
+            cols,
+        }
+    }
+
+    #[test]
+    fn ill_formed_headers_are_rejected() {
+        let g = geometry();
+        let width = g.logical_row_bits();
+        let decode = |i: &PimInstruction| PimInstruction::decode(&g, &i.encode(&g));
+        assert_eq!(
+            decode(&shaped(BitwiseOp::Or, 1, 64)),
+            Err(DecodeError::IllFormed {
+                opcode: 1,
+                operands: 1,
+                cols: 64
+            })
+        );
+        for bad in [
+            shaped(BitwiseOp::Or, 0, 64),
+            shaped(BitwiseOp::Not, 0, 64),
+            shaped(BitwiseOp::Not, 2, 64),
+            shaped(BitwiseOp::And, 2, 0),
+            shaped(BitwiseOp::Xor, 2, width + 1),
+        ] {
+            assert!(
+                matches!(decode(&bad), Err(DecodeError::IllFormed { .. })),
+                "{bad:?}"
+            );
+        }
+        for good in [
+            shaped(BitwiseOp::Or, 2, 64),
+            shaped(BitwiseOp::Not, 1, 64),
+            shaped(BitwiseOp::And, 2, width),
+        ] {
+            let words = good.encode(&g);
+            assert_eq!(decode(&good), Ok((good, words.len())));
+        }
+    }
+
     #[test]
     fn decoded_stream_executes_on_the_engine() {
         let g = geometry();
@@ -325,5 +400,12 @@ mod tests {
         assert!(DecodeError::UnknownOpcode { opcode: 9 }
             .to_string()
             .contains("0x9"));
+        assert!(DecodeError::IllFormed {
+            opcode: 4,
+            operands: 2,
+            cols: 8
+        }
+        .to_string()
+        .contains("2 operands over 8 columns"));
     }
 }

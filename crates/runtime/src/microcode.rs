@@ -9,7 +9,7 @@
 //! This module is that promotion into the runtime ISA, in three layers:
 //!
 //! 1. [`TransposedVec`] — the bit-sliced layout, allocated as one
-//!    page-aligned row group by [`crate::alloc::PimAllocator::alloc_transposed`];
+//!    aligned row group by [`crate::alloc::PimAllocator::alloc_transposed`];
 //! 2. [`MicroProgram`] — one arithmetic op ([`ArithOp`]) over transposed
 //!    operands, expanded into a boolean expression DAG per output bit
 //!    (ripple-carry adder, borrow-chain comparator, compare-select mux);
@@ -64,7 +64,7 @@ impl TransposedVec {
 
 impl PimSystem {
     /// Allocates a [`TransposedVec`] of `lanes` integers, `width_bits`
-    /// bits each — `width_bits` page-aligned planes placed as one row
+    /// bits each — `width_bits` aligned planes placed as one row
     /// group (see [`crate::alloc::PimAllocator::alloc_transposed`]).
     ///
     /// # Errors
@@ -368,6 +368,29 @@ enum Expr {
     Gate(BitwiseOp, Vec<usize>),
 }
 
+/// The canonical operand list of an associative gate: sorted, then
+/// duplicates merged for OR/AND (idempotence: x OP x = x) or cancelled
+/// in pairs for XOR (self-inverse: x ^ x = 0).
+fn normalize_operands(op: BitwiseOp, mut args: Vec<usize>) -> Vec<usize> {
+    args.sort_unstable();
+    match op {
+        BitwiseOp::Or | BitwiseOp::And => args.dedup(),
+        BitwiseOp::Xor => {
+            let mut out = Vec::with_capacity(args.len());
+            for a in args {
+                if out.last() == Some(&a) {
+                    out.pop();
+                } else {
+                    out.push(a);
+                }
+            }
+            args = out;
+        }
+        BitwiseOp::Not => unreachable!("NOT is not an associative gate"),
+    }
+    args
+}
+
 /// DAG builder with always-on constant folding and opt-in hash-consing +
 /// algebraic simplification.
 struct Builder {
@@ -467,24 +490,7 @@ impl Builder {
             }
         }
         if self.opts.optimize {
-            kept.sort_unstable();
-            match op {
-                // Idempotence: x OP x = x.
-                BitwiseOp::Or | BitwiseOp::And => kept.dedup(),
-                // Self-inverse: x ^ x = 0.
-                BitwiseOp::Xor => {
-                    let mut out = Vec::with_capacity(kept.len());
-                    for a in kept {
-                        if out.last() == Some(&a) {
-                            out.pop();
-                        } else {
-                            out.push(a);
-                        }
-                    }
-                    kept = out;
-                }
-                BitwiseOp::Not => unreachable!(),
-            }
+            kept = normalize_operands(op, kept);
             // Complement: x against ¬x decides OR/AND outright.
             if kept.len() >= 2 && matches!(op, BitwiseOp::Or | BitwiseOp::And) {
                 let set: HashSet<usize> = kept.iter().copied().collect();
@@ -960,23 +966,7 @@ pub fn compile(
                 }
             }
             if changed {
-                let mut simplified = flat.clone();
-                simplified.sort_unstable();
-                match op {
-                    BitwiseOp::Or | BitwiseOp::And => simplified.dedup(),
-                    BitwiseOp::Xor => {
-                        let mut out = Vec::with_capacity(simplified.len());
-                        for a in simplified {
-                            if out.last() == Some(&a) {
-                                out.pop();
-                            } else {
-                                out.push(a);
-                            }
-                        }
-                        simplified = out;
-                    }
-                    BitwiseOp::Not => unreachable!(),
-                }
+                let simplified = normalize_operands(op, flat.clone());
                 // A degenerate list (< 2 operands) keeps the raw
                 // flattening: duplicate operands are still correct
                 // (x|x, x&x, x^x all have defined request semantics).

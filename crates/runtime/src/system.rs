@@ -49,14 +49,6 @@ impl PimSystem {
         &self.allocator
     }
 
-    /// Starts every subsequent allocation group on a copy-on-write page
-    /// boundary — see [`PimAllocator::set_page_aligned_groups`]. Meant
-    /// for session-pool workloads where a group's destination row must
-    /// not share a page with neighbouring groups' operands.
-    pub fn set_page_aligned_groups(&mut self, on: bool) {
-        self.allocator.set_page_aligned_groups(on);
-    }
-
     /// Accumulated memory statistics (time, energy, commands).
     #[must_use]
     pub fn stats(&self) -> &MemStats {
@@ -167,7 +159,7 @@ impl PimSystem {
     }
 
     /// Allocates the bit-transposed layout for `runtime::microcode`:
-    /// `width_bits` page-aligned planes of `lanes` bits each (see
+    /// `width_bits` aligned planes of `lanes` bits each (see
     /// [`PimAllocator::alloc_transposed`]), returned as raw planes; the
     /// microcode module wraps them into its `TransposedVec`.
     ///

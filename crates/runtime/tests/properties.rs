@@ -51,18 +51,21 @@ fn isa_round_trips() {
 
 /// The decoder takes any words without panicking. Seeded streams of zero
 /// to eight words mix random words with instruction-shaped runs: a header
-/// with an opcode of 0–5 (1–4 are defined) and an operand count of 0–3,
-/// then that many operand addresses and a destination, each at the edge
-/// of the address space (three in range, one just past it), the stream
-/// cut at its length. Each stream decodes or returns a [`DecodeError`],
-/// and every stream that decodes re-encodes to the same words.
+/// with an opcode of 0–5 (1–4 are defined), an operand count of 0–3 and a
+/// column count at the edges of the row width (0, 1, the width, one past
+/// it, or below it), then that many operand addresses and a destination,
+/// each at the edge of the address space (three in range, one just past
+/// it), the stream cut at its length. Each stream decodes or returns a
+/// [`DecodeError`], and every stream that decodes re-encodes to the same
+/// words.
 #[test]
 fn decoder_never_panics_and_round_trips_what_it_accepts() {
     let g = MemGeometry::pcm_default();
     let total = g.total_rows();
+    let width = g.logical_row_bits();
     let mut rng = SimRng::seed_from_u64(0xDEC0DE);
     let (mut accepted, mut instructions) = (0, 0);
-    let (mut truncated, mut unknown, mut out_of_range) = (0, 0, 0);
+    let (mut truncated, mut unknown, mut out_of_range, mut ill_formed) = (0, 0, 0, 0);
     for _ in 0..20_000 {
         let len = rng.gen_index(9);
         let mut words = Vec::with_capacity(len + 5);
@@ -73,7 +76,14 @@ fn decoder_never_panics_and_round_trips_what_it_accepts() {
             }
             let opcode = rng.gen_range_u64(0, 6);
             let count = rng.gen_range_u64(0, 4);
-            words.push((opcode << 56) | (count << 40) | rng.gen_range_u64(0, 1 << 40));
+            let cols = match rng.gen_index(5) {
+                0 => 0,
+                1 => 1,
+                2 => width,
+                3 => width + 1,
+                _ => rng.gen_range_u64(0, width),
+            };
+            words.push((opcode << 56) | (count << 40) | cols);
             for _ in 0..count + 2 {
                 words.push(total - 3 + rng.gen_range_u64(0, 4));
             }
@@ -88,15 +98,16 @@ fn decoder_never_panics_and_round_trips_what_it_accepts() {
             Err(DecodeError::Truncated { .. }) => truncated += 1,
             Err(DecodeError::UnknownOpcode { .. }) => unknown += 1,
             Err(DecodeError::AddressOutOfRange { .. }) => out_of_range += 1,
+            Err(DecodeError::IllFormed { .. }) => ill_formed += 1,
             Err(other) => panic!("no stream here can raise {other}"),
         }
     }
     // Every outcome must occur for the streams to mean anything, and
     // more than the empty streams must decode.
     assert!(
-        instructions > 0 && truncated > 0 && unknown > 0 && out_of_range > 0,
+        instructions > 0 && truncated > 0 && unknown > 0 && out_of_range > 0 && ill_formed > 0,
         "accepted {accepted} ({instructions} instructions), truncated {truncated}, \
-         unknown opcode {unknown}, out of range {out_of_range}"
+         unknown opcode {unknown}, out of range {out_of_range}, ill-formed {ill_formed}"
     );
 }
 

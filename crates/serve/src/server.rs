@@ -570,7 +570,7 @@ impl PimServer {
     /// allocates on the tenant's home channel ([`pick_channel`]'s choice
     /// for its first placement, which then becomes the home wherever it
     /// landed), counts a spill if any row landed off the home, and
-    /// charges the rows actually placed (page alignment and
+    /// charges the rows actually placed (plane alignment and
     /// subarray-straddle skips can exceed the estimate).
     fn place<T>(
         &mut self,

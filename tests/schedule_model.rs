@@ -15,13 +15,11 @@ use pinatubo_runtime::{BatchRequest, MappingPolicy, PimBitVec, PimSystem};
 use std::collections::BTreeMap;
 
 fn sys() -> PimSystem {
-    let mut s = PimSystem::new(
+    PimSystem::new(
         MemConfig::pcm_default(),
         PinatuboConfig::default(),
         MappingPolicy::ChannelRotate,
-    );
-    s.set_page_aligned_groups(true);
-    s
+    )
 }
 
 fn faulty_sys() -> PimSystem {
@@ -30,9 +28,7 @@ fn faulty_sys() -> PimSystem {
         .with_transients(1e-5, 1e-5, 1e-5)
         .with_write_flips(1e-5);
     mem.reliability = ReliabilityConfig::protected_secded();
-    let mut s = PimSystem::new(mem, PinatuboConfig::default(), MappingPolicy::ChannelRotate);
-    s.set_page_aligned_groups(true);
-    s
+    PimSystem::new(mem, PinatuboConfig::default(), MappingPolicy::ChannelRotate)
 }
 
 fn store_random(s: &mut PimSystem, v: &PimBitVec, bits: u64, rng: &mut SimRng) {

@@ -130,9 +130,7 @@ fn sixty_four_tenants_match_serial_and_are_deterministic_across_workers() {
         .expect("serial replay");
     let served_stats = *server1.system().stats();
     // assert_stats_match compares events, reliability ledger, time (total,
-    // shared, stall) and energy; row_pages_copied is a host-side session
-    // metric and is expected to differ from serial execution (which never
-    // shares pages).
+    // shared, stall) and energy.
     assert_stats_match("serial replay", reference.stats(), &served_stats);
     for (id, vec) in written_vecs(&server1) {
         assert_eq!(
